@@ -208,14 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="bypass the sweep cache: neither read nor write it",
     )
-    execution.add_argument(
-        "--adaptive", action="store_true",
-        help="adaptive sweep: coarse grid + bisection refinement around "
-        "each threshold crossing instead of a dense scan; thresholds "
-        "are identical to the dense sweep from a fraction of the "
-        "samples (CSV output holds only the sampled sizes; not "
-        "combinable with --faults/--checkpoint)",
-    )
     parser.add_argument(
         "-o", "--output", metavar="DIR", default=None,
         help="write per-series CSVs into DIR",
@@ -375,13 +367,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         "miscalibrated specs and implausible samples (exit 4)",
     )
     parser.add_argument(
-        "--adaptive", action="store_true",
-        help="adaptive sweeps (coarse grid + bisection): the report is "
-        "byte-identical to a dense campaign from a fraction of the "
-        "cells (overrides the campaign's [execution] adaptive; not "
-        "combinable with --checkpoint-dir)",
-    )
-    parser.add_argument(
         "--quiet", action="store_true",
         help="suppress per-scenario progress and the report summary",
     )
@@ -488,9 +473,7 @@ def _main_campaign(argv: List[str]) -> int:
             )
         campaign = load_campaign(args.file)
         if args.dry_run:
-            scenarios = expand_scenarios(
-                campaign, strict=args.strict, adaptive=args.adaptive,
-            )
+            scenarios = expand_scenarios(campaign, strict=args.strict)
             return _main_campaign_dry_run(campaign, scenarios, log)
         log(
             f"campaign {campaign.name!r}: {len(campaign.systems)} "
@@ -508,7 +491,6 @@ def _main_campaign(argv: List[str]) -> int:
                 cache_dir=None if args.no_cache else args.cache_dir,
                 strict=args.strict,
                 stop_after=args.stop_after,
-                adaptive=True if args.adaptive else None,
                 log=log,
             )
         if result.quarantined:
@@ -578,7 +560,6 @@ def _run_campaign_distributed(campaign, args, log):
         backend=args.backend,
         cache_dir=None if args.no_cache else args.cache_dir,
         strict=args.strict,
-        adaptive=True if args.adaptive else None,
         resume=args.resume,
         lease_s=args.lease,
         heartbeat_s=args.heartbeat,
@@ -890,7 +871,6 @@ def _main_sweep(argv: List[str]) -> int:
             ) or tuple(TransferType),
             gpu_enabled=not args.cpu_only,
             validate=args.strict,
-            adaptive=args.adaptive,
         )
         if args.backend == "host":
             backend = make_backend("host")
@@ -959,13 +939,6 @@ def _print_resilience_report(result) -> None:
         print(
             f"degraded {stats.inprocess_shards} shard(s) to in-process "
             "execution after repeated pool failures"
-        )
-    if stats.adaptive_cells_dense:
-        saved = stats.adaptive_cells_dense - stats.adaptive_cells_sampled
-        print(
-            f"adaptive sweep sampled {stats.adaptive_cells_sampled} of "
-            f"{stats.adaptive_cells_dense} grid cell(s) "
-            f"({saved} skipped by bisection)"
         )
     if result.degraded:
         print("sweep degraded to the analytic fallback backend")

@@ -30,14 +30,16 @@ Campaign file schema::
     [execution]
     backend = "analytic"              # default analytic
     jobs = 2                          # default 1 (in-process)
-    adaptive = true                   # default false (dense sweeps)
 
     [drift]
     golden = "../results/campaign/ci-smoke/campaign_report.csv"
 
-Relative paths (spec files in ``systems``, the drift golden) resolve
-against the campaign file's own directory, so a campaign is a portable
-artifact.  Scenario runs compose with the rest of the resilience stack:
+Every key is optional except ``name`` and ``matrix.systems``.  An
+unknown table or key is a :class:`~repro.errors.ConfigError`, so a typo
+fails loudly instead of silently running the default.  Relative paths
+(spec files in ``systems``, the drift golden) resolve against the
+campaign file's own directory, so a campaign is a portable artifact.
+Scenario runs compose with the rest of the resilience stack:
 ``cache_dir`` replays identical scenarios from the content-addressed
 sweep cache, ``checkpoint_dir`` journals each scenario to its own JSONL
 file and ``resume=True`` replays them — an interrupted campaign resumes
@@ -98,6 +100,15 @@ REPORT_FIELDNAMES = (
 _KEY_FIELDS = ("system", "kernel", "problem", "precision", "transfer",
                "iterations")
 
+#: The keys each campaign table accepts (see the module docstring).
+_TABLE_KEYS = {
+    "matrix": ("systems", "kernels", "problems", "precisions", "transfers",
+               "iterations"),
+    "sweep": ("min_dim", "max_dim", "step"),
+    "execution": ("backend", "jobs"),
+    "drift": ("golden",),
+}
+
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -115,11 +126,6 @@ class CampaignSpec:
     step: int = 8
     backend: str = "analytic"
     jobs: int = 1
-    #: adaptive sweeps (coarse grid + bisection): dense-identical
-    #: thresholds from a fraction of the cells, so the report — and the
-    #: campaign fingerprint — are unchanged.  Incompatible with
-    #: checkpoint journaling.
-    adaptive: bool = False
     golden: Optional[str] = None
     #: directory the campaign file lives in; relative paths resolve here
     base_dir: str = "."
@@ -271,6 +277,16 @@ def _enum_tuple(table: dict, key: str, enum, default, source: str) -> tuple:
     return tuple(out)
 
 
+def _reject_unknown(table: dict, valid, prefix: str, source: str) -> None:
+    """Refuse keys a campaign table does not define, naming each one."""
+    unknown = sorted(set(table) - set(valid))
+    if unknown:
+        raise ConfigError(
+            f"{source}: unknown key(s) {[prefix + k for k in unknown]}; "
+            f"valid: {sorted(prefix + k for k in valid)}"
+        )
+
+
 def _int_value(table: dict, key: str, default: int, source: str) -> int:
     value = table.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
@@ -301,13 +317,7 @@ def loads_campaign(text: str, format: str = "toml",
             f"{source}: unsupported campaign schema {schema!r} (this "
             f"build reads schema {CAMPAIGN_SCHEMA_VERSION})"
         )
-    known = {"schema", "name", "matrix", "sweep", "execution", "drift"}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ConfigError(
-            f"{source}: unknown table(s)/key(s) {unknown}; valid: "
-            f"{sorted(known)}"
-        )
+    _reject_unknown(data, {"schema", "name", *_TABLE_KEYS}, "", source)
     name = data.get("name")
     if not isinstance(name, str) or not name:
         raise ConfigError(f"{source}: campaign needs a non-empty name")
@@ -319,6 +329,7 @@ def loads_campaign(text: str, format: str = "toml",
                          ("execution", execution), ("drift", drift)):
         if not isinstance(table, dict):
             raise ConfigError(f"{source}: [{label}] must be a table")
+        _reject_unknown(table, _TABLE_KEYS[label], f"{label}.", source)
     systems = _str_tuple(matrix, "systems", [], source)
     if not systems:
         raise ConfigError(f"{source}: matrix.systems must list at least one")
@@ -337,9 +348,6 @@ def loads_campaign(text: str, format: str = "toml",
     backend = execution.get("backend", "analytic")
     if not isinstance(backend, str):
         raise ConfigError(f"{source}: execution.backend must be a string")
-    adaptive = execution.get("adaptive", False)
-    if not isinstance(adaptive, bool):
-        raise ConfigError(f"{source}: execution.adaptive must be a boolean")
     return CampaignSpec(
         name=name,
         systems=systems,
@@ -356,7 +364,6 @@ def loads_campaign(text: str, format: str = "toml",
         step=_int_value(sweep, "step", 8, source),
         backend=backend,
         jobs=_int_value(execution, "jobs", 1, source),
-        adaptive=adaptive,
         golden=golden,
         base_dir=base_dir,
     )
@@ -379,8 +386,7 @@ def load_campaign(path) -> CampaignSpec:
 
 
 def expand_scenarios(campaign: CampaignSpec,
-                     strict: bool = False,
-                     adaptive: bool = False) -> List[Scenario]:
+                     strict: bool = False) -> List[Scenario]:
     """Expand the campaign matrix into scenarios, one resilient sweep
     per (system, iterations) pair.  Problem types, precisions and
     paradigms expand *inside* each scenario's :class:`RunConfig`, whose
@@ -403,7 +409,6 @@ def expand_scenarios(campaign: CampaignSpec,
                 precisions=campaign.precisions,
                 transfers=campaign.transfers,
                 validate=strict,
-                adaptive=adaptive,
             )
             scenarios.append(
                 Scenario(
@@ -429,15 +434,11 @@ def run_campaign(
     cache_dir=None,
     strict: bool = False,
     stop_after: Optional[int] = None,
-    adaptive: Optional[bool] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> CampaignResult:
     """Run every scenario of a campaign and collect the results.
 
-    ``jobs``/``backend``/``adaptive`` override the campaign's execution
-    table.  Adaptive campaigns produce the same report bytes as dense
-    ones from a fraction of the sweep cells (sampled counts are logged),
-    but cannot journal checkpoints.  With
+    ``jobs``/``backend`` override the campaign's execution table.  With
     ``checkpoint_dir`` each scenario journals to its own JSONL file
     (``ck-<slug>.jsonl``); ``resume=True`` replays completed samples, so
     an interrupted campaign finishes byte-identical to an uninterrupted
@@ -454,13 +455,7 @@ def run_campaign(
         raise ConfigError(f"stop_after must be >= 1, got {stop_after}")
     jobs = campaign.jobs if jobs is None else jobs
     backend_name = campaign.backend if backend is None else backend
-    adaptive = campaign.adaptive if adaptive is None else adaptive
-    if adaptive and checkpoint_dir is not None:
-        raise ConfigError(
-            "adaptive campaigns cannot journal checkpoints; drop "
-            "--checkpoint-dir or run dense"
-        )
-    scenarios = expand_scenarios(campaign, strict=strict, adaptive=adaptive)
+    scenarios = expand_scenarios(campaign, strict=strict)
     out = CampaignResult(campaign=campaign, scenarios=scenarios)
     out.results = [None] * len(scenarios)
     ck_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
@@ -500,18 +495,6 @@ def run_campaign(
             cache_dir=cache_dir,
         )
         out.executed += 1
-    if adaptive and log is not None:
-        sampled = sum(
-            r.stats.adaptive_cells_sampled for r in out.results if r is not None
-        )
-        dense = sum(
-            r.stats.adaptive_cells_dense for r in out.results if r is not None
-        )
-        if dense:
-            log(
-                f"adaptive campaign sampled {sampled} of {dense} grid "
-                f"cell(s) ({sampled / dense:.1%})"
-            )
     return out
 
 

@@ -37,13 +37,6 @@ class RunConfig:
     alpha: float = 1.0
     beta: float = 0.0
     validate: bool = False
-    #: Adaptive sweep mode: coarse grid + bisection refinement around
-    #: each threshold crossing instead of a dense scan (see
-    #: :mod:`repro.core.adaptive`).  Deliberately *excluded* from the
-    #: checkpoint/cache config fingerprint — adaptive runs answer with
-    #: dense-identical thresholds, may replay a dense cache entry, and
-    #: never store one.
-    adaptive: bool = False
 
     def __post_init__(self) -> None:
         if self.min_dim < 1:

@@ -87,18 +87,6 @@ class ProblemSeries:
     cpu: List[PerfSample] = field(default_factory=list)
     gpu: Dict[TransferType, List[PerfSample]] = field(default_factory=dict)
     partial: bool = False
-    #: Set only by adaptive sweeps (``RunConfig.adaptive``): the *full
-    #: dense-grid* win/lose sequence per transfer paradigm, inferred
-    #: exactly from the sampled subset, plus the dense dims grid it
-    #: indexes.  ``threshold_for_series`` answers any ``min_consecutive``
-    #: from these without a dense scan.  Excluded from equality and repr:
-    #: the sampled payload above is the identity of the series.
-    adaptive_wins: Optional[Dict[TransferType, List[bool]]] = field(
-        default=None, compare=False, repr=False
-    )
-    adaptive_dims: Optional[List[Dims]] = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def kernel(self) -> Kernel:

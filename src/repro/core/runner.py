@@ -26,11 +26,6 @@ Three execution strategies exist, all producing bit-identical results:
   when the backend/config cannot be pickled (the DES engine stays
   serial *within* a series, but series still parallelize).
 
-A fourth, orthogonal mode — ``RunConfig.adaptive`` — replaces the dense
-grid walk with a coarse-grid + bisection sweep
-(:mod:`repro.core.adaptive`) that produces dense-identical thresholds
-from a fraction of the cells.
-
 With ``cache_dir=`` the runner keys a content-addressed result store on
 the checkpoint config fingerprint plus the backend's ``cache_token``;
 re-running an identical (config, system, backend) sweep is a cache hit
@@ -166,10 +161,6 @@ class SweepStats:
     worker_retries: int = 0
     #: parallel shards that exhausted pool retries and ran in-process
     inprocess_shards: int = 0
-    #: adaptive mode: cells actually sampled vs. the dense grid they
-    #: answered for (both zero on dense sweeps and cache replays)
-    adaptive_cells_sampled: int = 0
-    adaptive_cells_dense: int = 0
 
 
 @dataclass
@@ -493,18 +484,6 @@ def run_sweep(
         raise ConfigError(
             f"shard_timeout_s must be > 0, got {shard_timeout_s}"
         )
-    if config.adaptive and (
-        faults is not None
-        or isinstance(backend, FaultInjector)
-        or checkpoint is not None
-        or resume
-    ):
-        from ..errors import ConfigError
-
-        raise ConfigError(
-            "adaptive sweeps cannot compose with fault injection or "
-            "checkpoint journaling; run those sweeps dense"
-        )
     if fallback is None:
         fallback = _derive_fallback(backend)
 
@@ -604,10 +583,7 @@ def run_sweep(
     finally:
         if writer is not None:
             writer.close()
-    # Adaptive runs may *load* a dense entry (dense replay wins — the
-    # full grid for free) but never store: a dense run replaying a
-    # sparse adaptive series would be wrong.
-    if cacheable and result.complete and not result.degraded and not config.adaptive:
+    if cacheable and result.complete and not result.degraded:
         from .sweepcache import store_run
 
         store_run(cache_dir, backend, result)
@@ -629,21 +605,6 @@ def _run_series(
         precision=precision,
         iterations=config.iterations,
     )
-    if (
-        config.adaptive
-        and transfers
-        and config.cpu_enabled
-        and not done
-        and not quarantined_keys
-        and not state.gpu_lost
-        and state.writer is None
-    ):
-        from .adaptive import adaptive_fill_series
-
-        if adaptive_fill_series(
-            state, series, problem_type, precision, config, transfers
-        ):
-            return series
     missing: Optional[int] = None
     if state.can_batch():
         missing = _run_series_batched(
@@ -938,8 +899,8 @@ def _pack_shard_result(series: ProblemSeries, result: RunResult) -> tuple:
             shm.close()
         return (
             "shm", name, n, nd, nbytes, columns, series.partial,
-            series.adaptive_wins, result.quarantine, result.degraded,
-            result.device_lost, result.stats,
+            result.quarantine, result.degraded, result.device_lost,
+            result.stats,
         )
     except Exception:
         return (
@@ -959,7 +920,7 @@ def _decode_shard_result(outcome: tuple, shard, config: RunConfig):
             workerpool.record_shard(pickled=True)
         return outcome[1:]
     (
-        _tag, name, n, nd, nbytes, columns, partial, adaptive_wins,
+        _tag, name, n, nd, nbytes, columns, partial,
         quarantine, degraded, device_lost, stats,
     ) = outcome
     import numpy as np
@@ -1039,11 +1000,6 @@ def _decode_shard_result(outcome: tuple, shard, config: RunConfig):
             series.cpu.extend(column)
         else:
             series.gpu[transfer] = column
-    if adaptive_wins is not None:
-        series.adaptive_wins = adaptive_wins
-        series.adaptive_dims = [
-            problem_type.dims_at(p) for p in config.sweep_params(problem_type)
-        ]
     workerpool.record_shard(nbytes)
     return series, quarantine, degraded, device_lost, stats
 
@@ -1343,8 +1299,6 @@ def _run_parallel(
         stats.backoff_s += shard_stats.backoff_s
         stats.resumed_samples += shard_stats.resumed_samples
         stats.fallback_samples += shard_stats.fallback_samples
-        stats.adaptive_cells_sampled += shard_stats.adaptive_cells_sampled
-        stats.adaptive_cells_dense += shard_stats.adaptive_cells_dense
         if shard_path is not None:
             state.writer.merge_shard(shard_path)
             Path(shard_path).unlink(missing_ok=True)

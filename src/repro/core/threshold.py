@@ -23,7 +23,6 @@ from .records import ProblemSeries
 __all__ = [
     "ThresholdResult",
     "find_offload_threshold",
-    "find_threshold_index",
     "threshold_for_series",
 ]
 
@@ -44,32 +43,6 @@ class ThresholdResult:
 NOT_FOUND = ThresholdResult(False)
 
 
-def find_threshold_index(
-    wins: Sequence[bool],
-    min_consecutive: int = 2,
-) -> Optional[int]:
-    """Streak-scan a per-size GPU win/lose sequence; the single source
-    of truth shared by the dense detector and adaptive sweeps (whose
-    inferred full-grid win sequences feed straight in here)."""
-    if min_consecutive < 1:
-        raise ValueError("min_consecutive must be >= 1")
-    candidate: Optional[int] = None
-    gpu_streak = 0
-    cpu_streak = 0
-    for j, win in enumerate(wins):
-        if win:
-            gpu_streak += 1
-            cpu_streak = 0
-            if candidate is None and gpu_streak >= min_consecutive:
-                candidate = j - gpu_streak + 1
-        else:
-            cpu_streak += 1
-            gpu_streak = 0
-            if candidate is not None and cpu_streak >= min_consecutive:
-                candidate = None
-    return candidate
-
-
 def find_offload_threshold(
     dims_list: Sequence[Dims],
     cpu_seconds: Sequence[float],
@@ -79,8 +52,22 @@ def find_offload_threshold(
     """Scan parallel CPU/GPU timing curves (ascending sizes)."""
     if len(dims_list) != len(cpu_seconds) or len(dims_list) != len(gpu_seconds):
         raise ValueError("dims, cpu and gpu curves must have equal length")
-    wins = [gt < ct for ct, gt in zip(cpu_seconds, gpu_seconds)]
-    candidate = find_threshold_index(wins, min_consecutive)
+    if min_consecutive < 1:
+        raise ValueError("min_consecutive must be >= 1")
+    candidate: Optional[int] = None
+    gpu_streak = 0
+    cpu_streak = 0
+    for j, (ct, gt) in enumerate(zip(cpu_seconds, gpu_seconds)):
+        if gt < ct:
+            gpu_streak += 1
+            cpu_streak = 0
+            if candidate is None and gpu_streak >= min_consecutive:
+                candidate = j - gpu_streak + 1
+        else:
+            cpu_streak += 1
+            gpu_streak = 0
+            if candidate is not None and cpu_streak >= min_consecutive:
+                candidate = None
     if candidate is None:
         return NOT_FOUND
     return ThresholdResult(True, dims_list[candidate], candidate)
@@ -96,22 +83,7 @@ def threshold_for_series(
     Quarantined or otherwise missing cells never raise: sizes present on
     only one device are skipped with a :class:`PartialSweepWarning`, and
     the threshold is computed over the surviving pairs.
-
-    A series produced by an adaptive sweep holds only the sampled subset
-    of the grid but carries the exact inferred *full-grid* win sequence
-    (:attr:`~repro.core.records.ProblemSeries.adaptive_wins`); the
-    threshold is answered from that sequence directly, so adaptive runs
-    return dense-identical thresholds for every ``min_consecutive``
-    without tripping the pair-gap warning on unsampled sizes.
     """
-    if series.adaptive_wins is not None and series.adaptive_dims is not None:
-        wins = series.adaptive_wins.get(transfer)
-        if wins is None:
-            return NOT_FOUND
-        candidate = find_threshold_index(wins, min_consecutive)
-        if candidate is None:
-            return NOT_FOUND
-        return ThresholdResult(True, series.adaptive_dims[candidate], candidate)
     gpu = series.gpu_samples(transfer)
     cpu = series.cpu_samples()
     if not gpu or not cpu:

@@ -25,6 +25,12 @@ importing that module *first* and registering ours *after*, our
 teardown — which snapshots the worker processes, shuts the executor
 down without waiting, and terminates the processes — runs before the
 executor's join and leaves it nothing to wait on.
+
+Fork-started workers inherit this module's state, exit hook included,
+but own none of the parent's pools: a worker leaving on a graceful
+``shutdown(wait=True)`` would run the hook on its copy of the parent's
+executor and block on a lock the parent held when it forked.  The child
+therefore forgets the parent's pools right after every fork.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import contextlib
 import multiprocessing
 import os
 import threading
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = [
     "dedicated_pool",
@@ -200,6 +206,16 @@ def reset_stats() -> None:
 
 def _shutdown_at_exit() -> None:  # pragma: no cover - interpreter exit
     shutdown_all()
+
+
+def _forget_parent_pools() -> None:  # pragma: no cover - forked child
+    global _lock
+    _lock = threading.Lock()  # another parent thread may have held it
+    _pools.clear()
+
+
+if hasattr(os, "register_at_fork"):  # absent on platforms without fork
+    os.register_at_fork(after_in_child=_forget_parent_pools)
 
 
 try:  # CPython >= 3.9: run before concurrent.futures' own exit join

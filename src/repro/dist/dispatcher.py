@@ -146,7 +146,6 @@ def run_campaign_distributed(
     backend: Optional[str] = None,
     cache_dir=None,
     strict: bool = False,
-    adaptive: Optional[bool] = None,
     resume: bool = False,
     lease_s: float = 15.0,
     heartbeat_s: Optional[float] = None,
@@ -181,10 +180,9 @@ def run_campaign_distributed(
         raise ConfigError(f"heartbeat_s must be > 0, got {heartbeat_s}")
     jobs = campaign.jobs if jobs is None else jobs
     backend_name = campaign.backend if backend is None else backend
-    adaptive = campaign.adaptive if adaptive is None else adaptive
     retry = retry if retry is not None else RetryPolicy()
 
-    scenarios = expand_scenarios(campaign, strict=strict, adaptive=adaptive)
+    scenarios = expand_scenarios(campaign, strict=strict)
     records = {}
     tracks: Dict[str, _Track] = {}
     order: List[str] = []

@@ -97,7 +97,6 @@ def scenario_record(scenario, backend: str, jobs: int) -> dict:
             "precisions": [p.value for p in config.precisions],
             "transfers": [t.value for t in config.transfers],
             "validate": config.validate,
-            "adaptive": config.adaptive,
         },
     }
 
@@ -115,7 +114,6 @@ def _parse_scenario_config(rec: dict):
         precisions=tuple(Precision(p) for p in rec["precisions"]),
         transfers=tuple(TransferType(t) for t in rec["transfers"]),
         validate=rec.get("validate", False),
-        adaptive=rec.get("adaptive", False),
     )
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "CampaignDriftError",
     "CheckpointError",
     "ConfigError",
-    "DeferredFeatureError",
     "DeviceLostError",
     "IntegrityError",
     "ModelInvariantError",
@@ -73,22 +72,6 @@ class UnknownLibraryError(ReproError):
 
 class UnknownProblemTypeError(ReproError):
     """A problem-type ident does not exist for the requested kernel."""
-
-
-class DeferredFeatureError(ReproError, NotImplementedError):
-    """The requested subsystem is documented but not yet restored.
-
-    Sparse BLAS and the structural multi-tile GPU model are deferred;
-    see the "Restored vs deferred" section of DESIGN.md.  (The
-    discrete-event engine, USM page tables and the pipelined
-    Transfer-Always schedule are live.)
-    """
-
-    def __init__(self, feature: str) -> None:
-        super().__init__(
-            f"{feature} is deferred in this build; the analytic path is "
-            "available. See DESIGN.md 'Restored vs deferred'."
-        )
 
 
 # -- sweep faults -----------------------------------------------------

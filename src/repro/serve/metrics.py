@@ -138,11 +138,6 @@ class ServeMetrics:
         self.replay_backoff_s = 0.0
         #: WAL appends that failed (disk full / chaos wal-stall)
         self.wal_errors = 0
-        #: adaptive-mode sample savings, accumulated from executed
-        #: sweeps' stats (both stay 0 when --adaptive is off or every
-        #: answer came from the cache)
-        self.adaptive_cells_sampled = 0
-        self.adaptive_cells_dense = 0
 
     def observe_request(self, endpoint: str, status: int, seconds: float) -> None:
         self.requests[endpoint] = self.requests.get(endpoint, 0) + 1
@@ -192,13 +187,6 @@ class ServeMetrics:
             "degraded": {
                 "answers": self.degraded_answers,
                 "unavailable": self.degraded_unavailable,
-            },
-            "adaptive": {
-                "cells_sampled": self.adaptive_cells_sampled,
-                "cells_dense": self.adaptive_cells_dense,
-                "cells_saved": (
-                    self.adaptive_cells_dense - self.adaptive_cells_sampled
-                ),
             },
             "wal_errors": self.wal_errors,
         }

@@ -53,7 +53,7 @@ import asyncio
 import signal
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -191,12 +191,6 @@ class ServeConfig:
     #: shard parallelism handed to run_sweep for each job (>1 engages
     #: the supervised process pool, and with it REPRO_CHAOS_KILL_SHARD)
     sweep_jobs: int = 1
-    #: run cache misses as adaptive bisection sweeps (``--adaptive``);
-    #: thresholds are identical to dense scans, but the sampled series
-    #: is too sparse for CSV export, so include_series requests and
-    #: cache stores stay dense — an adaptive miss answers fast and
-    #: re-runs (cheaply, O(log d)) on the next cold query
-    adaptive: bool = False
     #: seeded serve-level fault plan (``--chaos-plan``); None = off
     chaos: Optional[ServeChaosPlan] = None
 
@@ -538,14 +532,6 @@ class ThresholdService:
             }
         }
 
-    def _record_adaptive(self, result) -> None:
-        """Fold one executed sweep's adaptive sample savings into the
-        daemon counters (both zero when --adaptive is off)."""
-        self.metrics.adaptive_cells_sampled += (
-            result.stats.adaptive_cells_sampled
-        )
-        self.metrics.adaptive_cells_dense += result.stats.adaptive_cells_dense
-
     def _metrics_payload(self) -> dict:
         from ..core import workerpool
 
@@ -650,12 +636,6 @@ class ThresholdService:
         """The blocking cache-or-sweep computation behind one job, with
         this attempt's chaos draws applied (``attempt=None``: no chaos —
         warm requests never execute the backend)."""
-        if self.config.adaptive and not query.include_series:
-            # bisection answers the threshold from a sampled grid;
-            # adaptive is excluded from the cache fingerprint, so a
-            # dense entry (CLI-seeded or include_series-forced) still
-            # replays as a hit
-            config = replace(config, adaptive=True)
         sweep_kwargs = {
             "system_name": query.system,
             "cache_dir": self.config.cache_dir,
@@ -696,7 +676,6 @@ class ThresholdService:
                 breaker.record_success()
             if not result.cache_hit:
                 self.metrics.sweeps_executed += 1
-                self._record_adaptive(result)
             self._wal_complete_key(cache_key)
             return result
 
@@ -910,7 +889,6 @@ class ThresholdService:
             breaker.record_success()
             if not result.cache_hit:
                 self.metrics.sweeps_executed += 1
-                self._record_adaptive(result)
             self.metrics.jobs_replayed += len(jobs_for_key)
             completed += len(jobs_for_key)
             self._wal_complete_key(key)
@@ -1140,12 +1118,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "process pool (default 1)",
     )
     parser.add_argument(
-        "--adaptive", action="store_true",
-        help="answer cache misses with adaptive bisection sweeps "
-        "(identical thresholds, fewer sampled cells; include_series "
-        "requests still sweep dense)",
-    )
-    parser.add_argument(
         "--chaos-plan", metavar="NAME[:SEED]", default=None,
         help="inject seeded serve-level faults: "
         "light, heavy, or blackout (testing only)",
@@ -1205,7 +1177,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             breaker_threshold=args.breaker_threshold,
             breaker_reset_s=args.breaker_reset,
             sweep_jobs=args.sweep_jobs,
-            adaptive=args.adaptive,
             chaos=chaos,
         )
         asyncio.run(_serve_until_signal(config))

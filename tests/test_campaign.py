@@ -96,6 +96,15 @@ def test_defaults_fill_unspecified_tables():
          "iterations"),
         ('name = "x"\n[matrix]\nsystems = ["dawn"]\n[bogus]\nx = 1\n',
          "bogus"),
+        # an unknown key inside any table is named, never ignored
+        ('name = "x"\n[matrix]\nsystems = ["dawn"]\nsystem = "lumi"\n',
+         r"'matrix\.system'"),
+        ('name = "x"\n[matrix]\nsystems = ["dawn"]\n[sweep]\nstpe = 1\n',
+         r"'sweep\.stpe'"),
+        ('name = "x"\n[matrix]\nsystems = ["dawn"]\n[execution]\n'
+         'adaptive = true\n', r"'execution\.adaptive'"),
+        ('name = "x"\n[matrix]\nsystems = ["dawn"]\n[drift]\n'
+         'goldne = "g.csv"\n', r"'drift\.goldne'"),
         ('schema = 9\nname = "x"\n[matrix]\nsystems = ["dawn"]\n', "schema"),
         ('[matrix]\nsystems = ["dawn"]\n', "name"),
     ],

@@ -4,14 +4,19 @@ The pool in :mod:`repro.core.workerpool` outlives individual sweeps —
 these tests pin the lifecycle contract: consecutive ``run_sweep`` calls
 reuse one spawn, a worker death retires the pool and the next sweep
 respawns it transparently (still bit-identical), and a process that
-used the pool exits promptly without hanging in atexit joins.
+used the pool exits promptly without hanging in atexit joins or in a
+graceful shutdown.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro import AnalyticBackend, make_model, run_sweep
 from repro.core import workerpool
@@ -105,3 +110,33 @@ def test_interpreter_exits_cleanly_with_live_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert "OK" in proc.stdout
+
+
+def test_graceful_pool_shutdown_does_not_hang():
+    """Forked workers must not inherit the parent's warm pools: a worker
+    leaving on ``shutdown(wait=True)`` would otherwise run the module's
+    exit hook on its copy of the parent's executor and block on a lock
+    the parent held at the fork.  The sequence runs in its own session
+    so a regression fails here, and its stuck workers die with it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (
+        "from repro.core import workerpool\n"
+        "pool = workerpool.get_pool(2)\n"
+        "assert pool.submit(pow, 2, 5).result() == 32\n"
+        "pool.shutdown(wait=True)\n"
+        "print('OK')\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("graceful shutdown of a warm pool hung for 30 s")
+    assert proc.returncode == 0, err
+    assert "OK" in out
