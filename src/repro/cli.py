@@ -238,10 +238,12 @@ def build_fsck_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpu-blob fsck",
         description=(
-            "Audit sweep artifacts — checkpoint journals (*.jsonl), "
-            "sweep-cache entries, results CSVs — against their embedded "
-            "checksums and plausibility invariants.  Exits 0 when "
-            "everything verifies, 4 when problems remain."
+            "Audit sweep artifacts — journals (*.jsonl checkpoints, "
+            "their *.jsonl.shard-<i> worker journals, serve WALs, "
+            "dispatch ledgers), sweep-cache entries, result shards, "
+            "results CSVs — against their embedded checksums and "
+            "plausibility invariants.  Exits 0 when everything "
+            "verifies, 4 when problems remain."
         ),
     )
     parser.add_argument(
@@ -253,8 +255,8 @@ def build_fsck_parser() -> argparse.ArgumentParser:
         "--repair", action="store_true",
         help="move damage out of the way instead of just reporting it: "
         "bad journal lines go to a .bad sidecar (the journal is "
-        "rewritten with only verified records), bad cache entries and "
-        "CSVs move into a quarantine/ subdirectory",
+        "replaced by its verified records), bad cache entries, result "
+        "shards and CSVs move into a quarantine/ subdirectory",
     )
     return parser
 

@@ -1,21 +1,16 @@
 """Artifact auditing and repair — the engine behind ``gpu-blob fsck``.
 
-Three artifact families leave a sweep on disk, and all three now carry
-enough redundancy to be audited offline:
+Every artifact a sweep leaves on disk can be audited offline; the
+journal and envelope formats are :mod:`repro.journal`'s:
 
-* **checkpoint journals, serve WALs and dispatch ledgers**
-  (``*.jsonl``) — every record carries a ``cs`` checksum
-  (:func:`repro.faults.checkpoint.record_checksum`), the first line
-  must be a versioned header (``kind: "serve-wal"`` / ``"dist-ledger"``
-  headers select their dialect's own format version; an *unknown* kind
-  is reported, never silently version-checked as a checkpoint), and
-  only the *final* line may be torn (the crash artifact the writer
-  itself repairs on resume/restart);
-* **distributed result shards** (``<fp16>.json``) — a scenario
-  fingerprint in the filename and a ``payload_sha256`` digest inside;
-* **sweep-cache entries** (``<sha256>.json``) — every entry embeds a
-  ``payload_sha256`` over its canonical payload
-  (:func:`repro.core.sweepcache.payload_digest`);
+* **journals** (``*.jsonl``, and a parallel sweep's
+  ``*.jsonl.shard-<i>``) — every line must verify, only the final line
+  may be torn, and the header's ``kind`` and version must be ones this
+  build reads (an *unknown* kind is reported, never silently
+  version-checked as a checkpoint);
+* **sealed envelopes** — sweep-cache entries (``<sha256>.json``) and
+  distributed result shards (``<fp16>.json``, whose fingerprint must
+  match the filename) must pass their ``payload_sha256``;
 * **results CSVs** (``*.csv`` + ``quarantine.json``) — rows must parse
   back into :class:`~repro.core.records.PerfSample` with finite,
   positive seconds and finite, non-negative GFLOP/s, under the series
@@ -24,11 +19,11 @@ enough redundancy to be audited offline:
 :func:`fsck_paths` dispatches on what it finds; each checker returns
 :class:`Finding` objects.  With ``repair=True`` the damage is *moved
 out of the way*, never silently dropped: bad journal lines go to a
-``<journal>.bad`` sidecar (the journal is rewritten with only verified
-records), and bad cache entries / CSVs move into a ``quarantine/``
-subdirectory.  A finding that cannot be repaired (a journal with no
-valid header, say) stays ``repaired=False`` and keeps the exit code
-non-zero.
+``<journal>.bad`` sidecar and the journal is replaced, through a tmp
+file and a rename, by its verified records; bad envelopes and CSVs
+move into a ``quarantine/`` subdirectory.  A finding that cannot be
+repaired (a journal with no valid header, say) stays ``repaired=False``
+and keeps the exit code non-zero.
 """
 
 from __future__ import annotations
@@ -39,24 +34,28 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional
 
-from ..faults.checkpoint import FORMAT_VERSION, record_checksum
+from ..journal import (
+    ENVELOPE_VERSIONS,
+    JOURNAL_VERSIONS,
+    EnvelopeError,
+    open_envelope,
+    replace_file,
+    scan_lines,
+)
 from .csvio import QUARANTINE_FILENAME, read_samples
-from .sweepcache import CACHE_VERSION, LOCK_FILENAME, payload_digest
+from .sweepcache import LOCK_FILENAME
 
 __all__ = [
     "Finding",
-    "fsck_cache_entry",
+    "fsck_envelope",
     "fsck_journal",
     "fsck_paths",
-    "fsck_result_shard",
     "fsck_results_csv",
 ]
 
-#: Cache-entry stems are full SHA-256 hex digests.
-_SHA256_HEX = 64
-
-#: Dist result-shard stems are 16-hex scenario fingerprints.
-_FP_HEX = 16
+#: Sealed-envelope stems by length: a cache entry's SHA-256 key, a dist
+#: result shard's 16-hex scenario fingerprint.
+_ENVELOPE_STEMS = {64: "cache", 16: "shard"}
 
 
 @dataclass
@@ -64,7 +63,7 @@ class Finding:
     """One integrity problem fsck found in one artifact."""
 
     path: Path
-    kind: str  # "journal" | "cache" | "results"
+    kind: str  # "journal" | "cache" | "shard" | "results" | "path"
     problem: str
     repaired: bool = False
 
@@ -89,170 +88,87 @@ def _quarantine_file(path: Path, kind: str, problem: str,
 # -- journals ---------------------------------------------------------
 
 
-def _journal_versions() -> dict:
-    """The dialect registry: header ``kind`` marker -> the format
-    version this build reads.  ``None`` is the sweep checkpoint
-    dialect (no kind marker).  Lazy imports: repro.serve/.dist pull in
-    this module's siblings."""
-    from ..dist.ledger import LEDGER_KIND, LEDGER_VERSION
-    from ..serve.wal import WAL_KIND, WAL_VERSION
-
-    return {
-        None: FORMAT_VERSION,
-        WAL_KIND: WAL_VERSION,
-        LEDGER_KIND: LEDGER_VERSION,
-    }
+def _header_problem(header: dict) -> str:
+    """Why a journal's first verified record is not a header this
+    build reads ("" when it is)."""
+    kind = header.get("kind")
+    expected_version = JOURNAL_VERSIONS.get(kind)
+    if header.get("t") != "header":
+        return "first valid record is not a header"
+    if expected_version is None:
+        # an unknown dialect must be *reported*, not silently
+        # version-checked as a checkpoint: a version-skewed ledger
+        # from a newer build should be visible, not ignored
+        known = ", ".join(repr(k) for k in JOURNAL_VERSIONS if k is not None)
+        return (f"unknown journal kind {kind!r} (this build reads: "
+                f"sweep checkpoints, {known})")
+    if header.get("version") != expected_version:
+        return (f"format version {header.get('version')!r} "
+                f"(this build reads {expected_version} for "
+                + (f"kind {kind!r})" if kind else "sweep checkpoints)"))
+    return ""
 
 
 def fsck_journal(path, repair: bool = False) -> List[Finding]:
-    """Audit one checkpoint journal line by line.
+    """Audit one journal line by line.
 
-    Repair rewrites the journal with only the records that verify and
+    Repair replaces the journal with only the records that verify and
     appends every rejected line to a ``<journal>.bad`` sidecar.  A
     journal whose header itself is missing or corrupt cannot be
     repaired — resuming from it would be meaningless anyway.
     """
     path = Path(path)
-    findings: List[Finding] = []
     try:
-        lines = path.read_text().splitlines()
+        data = path.read_bytes()
     except OSError as exc:
         return [Finding(path, "journal", f"unreadable: {exc}")]
 
-    good: List[str] = []
-    bad: List[str] = []
-
-    def flag(line_no: int, problem: str, line: str) -> None:
-        findings.append(Finding(path, "journal", f"line {line_no}: {problem}"))
-        bad.append(line)
-
-    for i, line in enumerate(lines):
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            if i == len(lines) - 1:
-                flag(i + 1, "torn final line (crash artifact)", line)
-            else:
-                flag(i + 1, "unparseable JSON", line)
-            continue
-        if not isinstance(rec, dict) or rec.get("cs") != record_checksum(rec):
-            flag(i + 1, "record checksum mismatch", line)
-            continue
-        good.append(line)
-
-    header_ok = False
-    if good:
-        header = json.loads(good[0])
-        kind = header.get("kind")
-        expected_version = _journal_versions().get(kind)
-        if header.get("t") != "header":
+    findings: List[Finding] = []
+    good: List[tuple] = []
+    bad: List[bytes] = []
+    for number, line, rec, problem in scan_lines(data):
+        if problem:
             findings.append(
-                Finding(path, "journal", "first valid record is not a header")
+                Finding(path, "journal", f"line {number}: {problem}")
             )
-        elif expected_version is None:
-            # an unknown dialect must be *reported*, not silently
-            # version-checked as a checkpoint: a version-skewed ledger
-            # from a newer build should be visible, not ignored
-            known = ", ".join(
-                repr(k) for k in _journal_versions() if k is not None
-            )
-            findings.append(Finding(
-                path, "journal",
-                f"unknown journal kind {kind!r} (this build reads: "
-                f"sweep checkpoints, {known})",
-            ))
-        elif header.get("version") != expected_version:
-            findings.append(Finding(
-                path, "journal",
-                f"format version {header.get('version')!r} "
-                f"(this build reads {expected_version} for "
-                + (f"kind {kind!r})" if kind else "sweep checkpoints)"),
-            ))
+            bad.append(line)
         else:
-            header_ok = True
-    else:
-        findings.append(Finding(path, "journal", "no valid records at all"))
+            good.append((rec, line))
 
-    if repair and bad and header_ok:
-        sidecar = path.with_name(path.name + ".bad")
-        with sidecar.open("a") as fh:
-            for line in bad:
-                fh.write(line + "\n")
-        path.write_text("".join(line + "\n" for line in good))
+    header_problem = (
+        _header_problem(good[0][0]) if good else "no valid records at all"
+    )
+    if header_problem:
+        findings.append(Finding(path, "journal", header_problem))
+    elif repair and bad:
+        with path.with_name(path.name + ".bad").open("ab") as fh:
+            fh.write(b"".join(line + b"\n" for line in bad))
+        replace_file(path, b"".join(line + b"\n" for _, line in good))
         for f in findings:
             f.repaired = True
     return findings
 
 
-# -- distributed result shards ----------------------------------------
+# -- sealed envelopes -------------------------------------------------
 
 
-def fsck_result_shard(path, repair: bool = False) -> List[Finding]:
-    """Audit one distributed-campaign result shard (``<fp16>.json``):
-    the format version, the fingerprint the filename promises, and the
-    embedded payload digest must all verify.  Repair quarantines the
-    shard — the dispatcher then simply re-executes that scenario."""
-    from ..dist.worker import SHARD_VERSION
+def fsck_envelope(path, repair: bool = False) -> List[Finding]:
+    """Audit one sealed envelope; repair quarantines it.
 
+    A 16-hex stem is a distributed result shard, whose fingerprint
+    must match the filename (the dispatcher simply re-executes a
+    quarantined shard's scenario); any other stem is a sweep-cache
+    entry.
+    """
     path = Path(path)
+    kind = _ENVELOPE_STEMS.get(len(path.stem), "cache")
+    fields = {"fingerprint": path.stem} if kind == "shard" else {}
     try:
-        entry = json.loads(path.read_text())
+        open_envelope(path.read_bytes(), ENVELOPE_VERSIONS[kind], **fields)
     except OSError as exc:
-        return [Finding(path, "shard", f"unreadable: {exc}")]
-    except ValueError:
-        return [_quarantine_file(path, "shard", "unparseable JSON", repair)]
-    if not isinstance(entry, dict) or entry.get("version") != SHARD_VERSION:
-        return [_quarantine_file(
-            path, "shard",
-            f"stale or missing format version (this build writes "
-            f"{SHARD_VERSION})",
-            repair,
-        )]
-    if entry.get("fingerprint") != path.stem:
-        return [_quarantine_file(
-            path, "shard",
-            f"fingerprint {entry.get('fingerprint')!r} contradicts the "
-            "filename",
-            repair,
-        )]
-    payload = {
-        k: v for k, v in entry.items()
-        if k not in ("version", "fingerprint", "payload_sha256")
-    }
-    if entry.get("payload_sha256") != payload_digest(payload):
-        return [_quarantine_file(
-            path, "shard", "payload sha256 mismatch", repair
-        )]
-    return []
-
-
-# -- sweep-cache entries ----------------------------------------------
-
-
-def fsck_cache_entry(path, repair: bool = False) -> List[Finding]:
-    """Audit one content-addressed cache entry; repair quarantines it."""
-    path = Path(path)
-    try:
-        entry = json.loads(path.read_text())
-    except OSError as exc:
-        return [Finding(path, "cache", f"unreadable: {exc}")]
-    except ValueError:
-        return [_quarantine_file(path, "cache", "unparseable JSON", repair)]
-    if not isinstance(entry, dict) or entry.get("version") != CACHE_VERSION:
-        return [_quarantine_file(
-            path, "cache",
-            f"stale or missing format version (this build writes "
-            f"{CACHE_VERSION})",
-            repair,
-        )]
-    payload = {
-        k: v for k, v in entry.items()
-        if k not in ("version", "payload_sha256")
-    }
-    if entry.get("payload_sha256") != payload_digest(payload):
-        return [_quarantine_file(
-            path, "cache", "payload sha256 mismatch", repair
-        )]
+        return [Finding(path, kind, f"unreadable: {exc}")]
+    except EnvelopeError as exc:
+        return [_quarantine_file(path, kind, str(exc), repair)]
     return []
 
 
@@ -317,41 +233,40 @@ def _fsck_quarantine_json(path: Path, repair: bool) -> List[Finding]:
 # -- dispatcher -------------------------------------------------------
 
 
-def _is_hex_stem(path: Path, length: int) -> bool:
-    stem = path.stem
-    return len(stem) == length and all(
-        c in "0123456789abcdef" for c in stem
+def _is_envelope(path: Path) -> bool:
+    return (
+        path.suffix == ".json" and len(path.stem) in _ENVELOPE_STEMS
+        and all(c in "0123456789abcdef" for c in path.stem)
     )
 
 
-def _is_cache_entry(path: Path) -> bool:
-    return _is_hex_stem(path, _SHA256_HEX)
-
-
-def _is_result_shard(path: Path) -> bool:
-    return _is_hex_stem(path, _FP_HEX)
+def _is_journal(path: Path) -> bool:
+    """``*.jsonl``, or a parallel sweep's ``*.jsonl.shard-<i>``."""
+    stem, _, index = path.name.rpartition(".shard-")
+    return path.suffix == ".jsonl" or (
+        stem.endswith(".jsonl") and index.isdigit()
+    )
 
 
 def _fsck_one_file(path: Path, repair: bool) -> List[Finding]:
-    if path.suffix == ".jsonl":
+    if _is_journal(path):
         return fsck_journal(path, repair)
     if path.suffix == ".csv":
         return fsck_results_csv(path, repair)
     if path.name == QUARANTINE_FILENAME:
         return _fsck_quarantine_json(path, repair)
-    if path.suffix == ".json" and _is_cache_entry(path):
-        return fsck_cache_entry(path, repair)
-    if path.suffix == ".json" and _is_result_shard(path):
-        return fsck_result_shard(path, repair)
+    if _is_envelope(path):
+        return fsck_envelope(path, repair)
     return []
 
 
 def fsck_paths(paths: Iterable, repair: bool = False) -> List[Finding]:
     """Audit every artifact reachable from ``paths``.
 
-    Files are dispatched by shape (``*.jsonl`` journal, ``*.csv``
-    results series, ``quarantine.json`` report, 64-hex ``*.json`` cache
-    entry); directories are scanned one level deep, skipping the cache
+    Files are dispatched by shape (``*.jsonl`` or ``*.jsonl.shard-<i>``
+    journal, ``*.csv`` results series, ``quarantine.json`` report,
+    64-hex ``*.json`` cache entry, 16-hex ``*.json`` result shard);
+    directories are scanned one level deep, skipping the cache
     lock file and anything already quarantined.
     """
     findings: List[Finding] = []

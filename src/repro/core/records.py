@@ -9,7 +9,9 @@ from ..types import DeviceKind, Dims, Kernel, Precision, TransferType
 from .flops import flops_for
 from .problem import ProblemType
 
-__all__ = ["PerfSample", "ProblemSeries", "QuarantineEntry"]
+__all__ = [
+    "PerfSample", "ProblemSeries", "QuarantineEntry", "sample_from_record",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,6 +46,19 @@ class PerfSample:
     ) -> "PerfSample":
         gflops = iterations * flops_for(dims, beta) / seconds / 1e9 if seconds > 0 else 0.0
         return cls(device, transfer, dims, iterations, seconds, gflops, checksum_ok)
+
+
+def sample_from_record(rec: dict) -> PerfSample:
+    """Rebuild a sample from its JSON record (checkpoint or cache)."""
+    return PerfSample(
+        device=DeviceKind(rec["device"]),
+        transfer=TransferType(rec["transfer"]) if rec["transfer"] else None,
+        dims=Dims(rec["m"], rec["n"], rec["k"]),
+        iterations=rec["iterations"],
+        seconds=rec["seconds"],
+        gflops=rec["gflops"],
+        checksum_ok=rec["checksum_ok"],
+    )
 
 
 @dataclass(frozen=True)

@@ -440,7 +440,8 @@ def run_sweep(
         automatically for DES backends (→ analytic twin).
     ``checkpoint`` / ``resume``
         JSONL journal path; with ``resume=True`` completed cells are
-        replayed from it instead of re-sampled.
+        replayed from it, and from any shard journals a killed parallel
+        run left beside it, instead of re-sampled.
     ``jobs``
         shard the (problem type, precision) series across a process
         pool of this many workers; ``1`` (the default) runs in-process.
@@ -1130,7 +1131,6 @@ def _run_parallel(
     """
     import concurrent.futures
     import os
-    from pathlib import Path
 
     from . import workerpool
 
@@ -1301,7 +1301,6 @@ def _run_parallel(
         stats.fallback_samples += shard_stats.fallback_samples
         if shard_path is not None:
             state.writer.merge_shard(shard_path)
-            Path(shard_path).unlink(missing_ok=True)
 
 
 def _run_cell(

@@ -14,13 +14,14 @@ CSVs stay byte-identical.  Only complete, fault-free, non-degraded runs
 are stored; anything else (quarantined cells, device loss, host
 measurements with no token) falls through to a real execution.
 
-Integrity: every entry embeds a ``payload_sha256`` over its canonical
-payload, verified on load — a flipped byte inside syntactically valid
+Integrity: every entry is a sealed envelope (:mod:`repro.journal`),
+written through a tmp file and a rename and verified against its
+``payload_sha256`` on load — a flipped byte inside syntactically valid
 JSON is a *warned* miss (:class:`~repro.errors.CacheIntegrityWarning`),
-never a silent replay of corrupted data.  Entries are written atomically
-(tmp file + rename) under a cross-process ``flock`` so concurrent
-sweeps racing on one store never expose a torn entry; a stale-format
-entry is treated as a quiet miss and overwritten.
+never a silent replay of corrupted data.  Writes also hold a
+cross-process ``flock``, so concurrent sweeps racing on one store never
+expose a torn entry; a stale-format entry is treated as a quiet miss
+and overwritten.
 
 Hits refresh an entry's mtime, which is the recency order
 :func:`prune_cache` (``gpu-blob cache prune``) evicts against.
@@ -48,10 +49,18 @@ from typing import Callable, Dict, List, Optional
 
 from ..errors import CacheIntegrityWarning, ConfigError
 from ..faults.checkpoint import config_fingerprint
-from ..types import DeviceKind, Dims, Kernel, Precision, TransferType
+from ..journal import (
+    ENVELOPE_VERSIONS,
+    UNPARSEABLE,
+    EnvelopeError,
+    open_envelope,
+    replace_file,
+    write_envelope,
+)
+from ..types import Kernel, Precision
 from .config import RunConfig
 from .problem import get_problem_type
-from .records import PerfSample, ProblemSeries
+from .records import PerfSample, ProblemSeries, sample_from_record
 
 __all__ = [
     "SingleFlight",
@@ -59,7 +68,6 @@ __all__ = [
     "find_stale_series",
     "load_cached_run",
     "parse_run_payload",
-    "payload_digest",
     "prune_cache",
     "run_payload",
     "store_run",
@@ -67,8 +75,7 @@ __all__ = [
     "top_entries",
 ]
 
-#: v2 added the ``payload_sha256`` integrity digest.
-CACHE_VERSION = 2
+CACHE_VERSION = ENVELOPE_VERSIONS["cache"]
 
 #: Cross-process writer lock, held only around mutations of the store.
 LOCK_FILENAME = ".lock"
@@ -87,13 +94,6 @@ def sweep_cache_key(
         return None
     fingerprint = config_fingerprint(config, system_name)
     return hashlib.sha256(f"{fingerprint}\n{token}".encode()).hexdigest()
-
-
-def payload_digest(payload: dict) -> str:
-    """SHA-256 of an entry payload's canonical JSON form (everything
-    except the ``version``/``payload_sha256`` envelope fields)."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 @contextlib.contextmanager
@@ -123,6 +123,15 @@ def _entry_path(cache_dir, key: str) -> Path:
     return Path(cache_dir) / f"{key}.json"
 
 
+def _read_counters(cache_dir) -> dict:
+    """The store's persistent counters ({} when absent or unreadable)."""
+    try:
+        counters = json.loads((Path(cache_dir) / STATS_FILENAME).read_text())
+    except (OSError, ValueError):
+        return {}
+    return counters if isinstance(counters, dict) else {}
+
+
 def _bump_stat(cache_dir, field: str, entry_key: Optional[str] = None) -> None:
     """Increment one persistent store counter (best-effort: a stats
     write must never fail a sweep).  ``entry_key`` additionally bumps
@@ -130,12 +139,7 @@ def _bump_stat(cache_dir, field: str, entry_key: Optional[str] = None) -> None:
     path = Path(cache_dir) / STATS_FILENAME
     with contextlib.suppress(Exception):
         with _cache_lock(path.parent):
-            try:
-                counters = json.loads(path.read_text())
-            except (OSError, ValueError):
-                counters = {}
-            if not isinstance(counters, dict):
-                counters = {}
+            counters = _read_counters(cache_dir)
             counters[field] = int(counters.get(field, 0)) + 1
             if entry_key is not None:
                 per_entry = counters.get("entry_hits")
@@ -143,20 +147,16 @@ def _bump_stat(cache_dir, field: str, entry_key: Optional[str] = None) -> None:
                     per_entry = {}
                 per_entry[entry_key] = int(per_entry.get(entry_key, 0)) + 1
                 counters["entry_hits"] = per_entry
-            tmp = path.with_suffix(f".tmp-{os.getpid()}")
-            tmp.write_text(json.dumps(counters, sort_keys=True) + "\n")
-            tmp.replace(path)
+            replace_file(
+                path, (json.dumps(counters, sort_keys=True) + "\n").encode()
+            )
 
 
 def top_entries(cache_dir, limit: int = 10) -> List[dict]:
     """The store's hottest entries by per-key hit count, descending
     (ties broken by key for a stable listing)."""
     cache_dir = Path(cache_dir)
-    try:
-        counters = json.loads((cache_dir / STATS_FILENAME).read_text())
-    except (OSError, ValueError):
-        counters = {}
-    per_entry = counters.get("entry_hits") if isinstance(counters, dict) else {}
+    per_entry = _read_counters(cache_dir).get("entry_hits")
     if not isinstance(per_entry, dict):
         per_entry = {}
     ranked = sorted(
@@ -184,12 +184,7 @@ def cache_stats(cache_dir) -> dict:
             with contextlib.suppress(OSError):
                 total_bytes += path.stat().st_size
                 entries += 1
-    try:
-        counters = json.loads((cache_dir / STATS_FILENAME).read_text())
-        if not isinstance(counters, dict):
-            counters = {}
-    except (OSError, ValueError):
-        counters = {}
+    counters = _read_counters(cache_dir)
     hits = int(counters.get("hits", 0))
     misses = int(counters.get("misses", 0))
     lookups = hits + misses
@@ -274,16 +269,15 @@ def _sample_record(sample: PerfSample) -> dict:
     }
 
 
-def _parse_sample(rec: dict) -> PerfSample:
-    return PerfSample(
-        device=DeviceKind(rec["device"]),
-        transfer=TransferType(rec["transfer"]) if rec["transfer"] else None,
-        dims=Dims(rec["m"], rec["n"], rec["k"]),
+def _parse_series(rec: dict) -> ProblemSeries:
+    series = ProblemSeries(
+        problem_type=get_problem_type(Kernel(rec["kernel"]), rec["ident"]),
+        precision=Precision(rec["precision"]),
         iterations=rec["iterations"],
-        seconds=rec["seconds"],
-        gflops=rec["gflops"],
-        checksum_ok=rec["checksum_ok"],
     )
+    for sample_rec in rec["samples"]:
+        series.add(sample_from_record(sample_rec))
+    return series
 
 
 def run_payload(result) -> dict:
@@ -315,20 +309,10 @@ def parse_run_payload(payload: dict, config: RunConfig,
     is a warned cache miss or a re-dispatched scenario."""
     from .runner import RunResult  # local import: runner imports us lazily
 
-    series_list: List[ProblemSeries] = []
-    for rec in payload["series"]:
-        series = ProblemSeries(
-            problem_type=get_problem_type(Kernel(rec["kernel"]), rec["ident"]),
-            precision=Precision(rec["precision"]),
-            iterations=rec["iterations"],
-        )
-        for sample_rec in rec["samples"]:
-            series.add(_parse_sample(sample_rec))
-        series_list.append(series)
     return RunResult(
         config=config,
         system_name=payload.get("system", system_name),
-        series=series_list,
+        series=[_parse_series(rec) for rec in payload["series"]],
     )
 
 
@@ -338,17 +322,9 @@ def store_run(cache_dir, backend, result) -> Optional[Path]:
     key = sweep_cache_key(result.config, result.system_name, backend)
     if key is None:
         return None
-    payload = run_payload(result)
-    entry = {
-        "version": CACHE_VERSION,
-        "payload_sha256": payload_digest(payload),
-        **payload,
-    }
     path = _entry_path(cache_dir, key)
     with _cache_lock(path.parent):
-        tmp = path.with_suffix(f".tmp-{os.getpid()}")
-        tmp.write_text(json.dumps(entry, separators=(",", ":")) + "\n")
-        tmp.replace(path)
+        write_envelope(path, run_payload(result), version=CACHE_VERSION)
     _bump_stat(cache_dir, "stores")
     return path
 
@@ -382,22 +358,15 @@ def load_cached_run(
 def _load_entry(cache_dir, key: str, config: RunConfig, system_name):
     path = _entry_path(cache_dir, key)
     try:
-        text = path.read_text()
+        payload = open_envelope(path.read_bytes(), CACHE_VERSION)
     except OSError:
         return None  # absent (or racing eviction): a plain miss
-    try:
-        entry = json.loads(text)
-    except ValueError:
-        _warn_corrupt(path, "is not parseable JSON")
-        return None
-    if not isinstance(entry, dict) or entry.get("version") != CACHE_VERSION:
-        return None  # stale format: recompute and overwrite quietly
-    payload = {
-        k: v for k, v in entry.items()
-        if k not in ("version", "payload_sha256")
-    }
-    if entry.get("payload_sha256") != payload_digest(payload):
-        _warn_corrupt(path, "failed its payload sha256 check")
+    except EnvelopeError as exc:
+        if exc.stale:
+            return None  # stale format: recompute and overwrite quietly
+        _warn_corrupt(path, "is not parseable JSON"
+                      if str(exc) == UNPARSEABLE
+                      else "failed its payload sha256 check")
         return None
     try:
         result = parse_run_payload(payload, config, system_name)
@@ -436,16 +405,8 @@ def find_stale_series(
     best = None  # ((|Δiterations|, iterations, entry name), series record)
     for path in sorted(cache_dir.glob("*.json")):
         try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        if not isinstance(entry, dict) or entry.get("version") != CACHE_VERSION:
-            continue
-        payload = {
-            k: v for k, v in entry.items()
-            if k not in ("version", "payload_sha256")
-        }
-        if entry.get("payload_sha256") != payload_digest(payload):
+            payload = open_envelope(path.read_bytes(), CACHE_VERSION)
+        except (OSError, EnvelopeError):
             continue
         if payload.get("system") != system_name:
             continue
@@ -468,16 +429,9 @@ def find_stale_series(
         return None
     rec = best[1]
     try:
-        series = ProblemSeries(
-            problem_type=get_problem_type(Kernel(rec["kernel"]), rec["ident"]),
-            precision=Precision(rec["precision"]),
-            iterations=rec["iterations"],
-        )
-        for sample_rec in rec["samples"]:
-            series.add(_parse_sample(sample_rec))
+        return _parse_series(rec), int(rec["iterations"])
     except (KeyError, TypeError, ValueError):
         return None
-    return series, int(rec["iterations"])
 
 
 def prune_cache(

@@ -2,12 +2,10 @@
 
 The dispatcher journals every scheduling decision — which worker holds
 which scenario, under what lease, on which attempt — to an append-only
-checksummed JSONL file in the shared journal dialect
-(:class:`~repro.serve.wal.ChecksummedJournal`): one record per line,
-each carrying a truncated-SHA-256 ``cs`` checksum, a torn final line
-(the crash artifact) repaired on open, and a ``kind: "dist-ledger"``
-header that lets ``gpu-blob fsck`` tell a ledger from a sweep
-checkpoint or a serve WAL.
+checksummed JSONL journal (:class:`~repro.journal.ChecksummedJournal`
+owns the line format and the torn-tail repair on open).  Its
+``kind: "dist-ledger"`` header lets ``gpu-blob fsck`` tell a ledger
+from a sweep checkpoint or a serve WAL.
 
 The ledger is what makes a distributed campaign restartable: kill -9
 the *dispatcher* mid-campaign, run the same command again with
@@ -44,7 +42,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..errors import ConfigError
-from ..serve.wal import ChecksummedJournal, JournalScan, scan_journal
+from ..journal import (
+    JOURNAL_VERSIONS,
+    ChecksummedJournal,
+    JournalScan,
+    scan_journal,
+)
 
 __all__ = [
     "LEDGER_FILENAME",
@@ -56,18 +59,15 @@ __all__ = [
     "load_ledger_state",
 ]
 
-#: Format version of the dispatch ledger journal.
-LEDGER_VERSION = 1
-
 #: Header ``kind`` marker distinguishing a dispatch ledger from the
 #: other checksummed JSONL dialects (checkpoints, serve WALs).
 LEDGER_KIND = "dist-ledger"
 
+#: Format version of the dispatch ledger journal.
+LEDGER_VERSION = JOURNAL_VERSIONS[LEDGER_KIND]
+
 #: Canonical ledger filename inside a campaign's ``--dist-dir``.
 LEDGER_FILENAME = "ledger.jsonl"
-
-#: Record types a ledger may contain (beyond the header).
-RECORD_TYPES = ("assign", "renew", "complete", "dead")
 
 
 @dataclass
@@ -155,10 +155,12 @@ def _apply_record(state: LedgerState, rec: dict) -> bool:
     return False
 
 
-def _fold(state: LedgerState, scan: JournalScan) -> LedgerState:
-    state.corrupt_records = scan.corrupt_records
-    state.torn_tail = scan.torn_tail
-    state.has_header = scan.has_header
+def _fold(scan: JournalScan) -> LedgerState:
+    state = LedgerState(
+        corrupt_records=scan.corrupt_records,
+        torn_tail=scan.torn_tail,
+        has_header=scan.header is not None,
+    )
     if scan.header is not None:
         state.campaign_fingerprint = str(scan.header.get("campaign_fp", ""))
         state.campaign_name = str(scan.header.get("campaign", ""))
@@ -172,8 +174,7 @@ def load_ledger_state(path) -> LedgerState:
     """Parse one ledger file leniently, skipping (and counting) damaged
     records.  A missing file is an empty state; damage never raises —
     ``gpu-blob fsck`` audits and repairs offline."""
-    return _fold(LedgerState(), scan_journal(path, LEDGER_KIND,
-                                             LEDGER_VERSION))
+    return _fold(scan_journal(path, LEDGER_KIND, LEDGER_VERSION))
 
 
 class DispatchLedger(ChecksummedJournal):
@@ -204,7 +205,7 @@ class DispatchLedger(ChecksummedJournal):
         self.campaign_fingerprint = campaign_fingerprint
         self.lease_s = lease_s
         super().__init__(path, clock=clock, sync=sync)
-        self.state = _fold(LedgerState(), self.scan)
+        self.state = _fold(self.scan)
 
     def _header_extra(self) -> dict:
         return {

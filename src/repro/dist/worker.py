@@ -16,11 +16,11 @@ file, and reports back.  Two flavors share the protocol:
   under a fake clock, which is what the dist test-suite drives.
 
 Idempotent completion lives here: a result shard is keyed by the
-*scenario fingerprint* (:func:`scenario_fingerprint`) and carries a
-``payload_sha256`` over the canonical run payload — the same
-serialization the content-addressed sweep cache uses, so floats
-round-trip exactly and a shard computed by *any* worker (or any
-attempt) feeds the aggregated report byte-identically.  Duplicate
+*scenario fingerprint* (:func:`scenario_fingerprint`) and holds the
+canonical run payload the content-addressed sweep cache uses, sealed
+in the same envelope (:mod:`repro.journal`), so floats round-trip
+exactly and a shard computed by *any* worker (or any attempt) feeds
+the aggregated report byte-identically.  Duplicate
 finishes of a stolen scenario overwrite the shard with identical
 bytes; the ledger dedupes the bookkeeping.
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import threading
@@ -46,6 +45,12 @@ from typing import Callable, List, Optional, Sequence
 
 from ..errors import ReproError
 from ..faults.checkpoint import config_fingerprint
+from ..journal import (
+    ENVELOPE_VERSIONS,
+    EnvelopeError,
+    open_envelope,
+    write_envelope,
+)
 from ..types import Kernel, Precision, TransferType
 
 __all__ = [
@@ -62,7 +67,7 @@ __all__ = [
 ]
 
 #: Format version of result shard files.
-SHARD_VERSION = 1
+SHARD_VERSION = ENVELOPE_VERSIONS["shard"]
 
 
 # -- scenario wire format ---------------------------------------------
@@ -151,21 +156,27 @@ def write_result_shard(results_dir, fp: str, result) -> Path:
     """Durably persist one scenario result, keyed by fingerprint.
     Atomic (write-then-rename) so a kill -9 mid-write leaves either
     the old shard or none, never a torn one."""
-    from ..core.sweepcache import payload_digest, run_payload
+    from ..core.sweepcache import run_payload
 
-    payload = run_payload(result)
-    entry = {
-        "version": SHARD_VERSION,
-        "fingerprint": fp,
-        "payload_sha256": payload_digest(payload),
-        **payload,
-    }
     path = _shard_path(results_dir, fp)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp-{os.getpid()}")
-    tmp.write_text(json.dumps(entry, separators=(",", ":")) + "\n")
-    tmp.replace(path)
+    write_envelope(path, run_payload(result), version=SHARD_VERSION,
+                   fingerprint=fp)
     return path
+
+
+def _run_scenario(worker_id: str, rec: dict, results_dir, cache_dir=None,
+                 executor: Callable = execute_scenario) -> dict:
+    """Execute one dispatched scenario, persist its shard, and return
+    the ``done`` (or ``failed``) message to report."""
+    msg = {"t": "done", "worker": worker_id, "fp": rec["fingerprint"],
+           "index": rec["index"]}
+    try:
+        result = executor(rec, cache_dir=cache_dir)
+    except ReproError as exc:
+        return dict(msg, t="failed", error=str(exc))
+    write_result_shard(results_dir, rec["fingerprint"], result)
+    return msg
 
 
 def load_result_shard(results_dir, fp: str, config,
@@ -173,26 +184,13 @@ def load_result_shard(results_dir, fp: str, config,
     """Load and verify one result shard; ``None`` when the shard is
     missing, version-skewed, mis-keyed or fails its payload digest —
     the dispatcher treats all of those as "not done, re-run"."""
-    from ..core.sweepcache import parse_run_payload, payload_digest
+    from ..core.sweepcache import parse_run_payload
 
-    path = _shard_path(results_dir, fp)
     try:
-        entry = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(entry, dict):
-        return None
-    if entry.get("version") != SHARD_VERSION:
-        return None
-    if entry.get("fingerprint") != fp:
-        return None
-    payload = {k: v for k, v in entry.items()
-               if k not in ("version", "fingerprint", "payload_sha256")}
-    if entry.get("payload_sha256") != payload_digest(payload):
-        return None
-    try:
+        payload = open_envelope(_shard_path(results_dir, fp).read_bytes(),
+                                SHARD_VERSION, fingerprint=fp)
         return parse_run_payload(payload, config, system_name)
-    except (KeyError, TypeError, ValueError):
+    except (OSError, EnvelopeError, KeyError, TypeError, ValueError):
         return None
 
 
@@ -241,18 +239,9 @@ class SimulatedWorker:
                 return out
             if t != "run":
                 continue
-            rec = msg["scenario"]
-            fp = rec["fingerprint"]
-            try:
-                result = self._executor(rec, cache_dir=self.cache_dir)
-            except ReproError as exc:
-                out.append({"t": "failed", "worker": self.worker_id,
-                            "fp": fp, "index": rec["index"],
-                            "error": str(exc)})
-            else:
-                write_result_shard(self.results_dir, fp, result)
-                out.append({"t": "done", "worker": self.worker_id,
-                            "fp": fp, "index": rec["index"]})
+            out.append(_run_scenario(self.worker_id, msg["scenario"],
+                                    self.results_dir, self.cache_dir,
+                                    self._executor))
             break
         out.append({"t": "heartbeat", "worker": self.worker_id})
         return out
@@ -425,16 +414,7 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
             break
         if t != "run":
             continue
-        rec = msg["scenario"]
-        fp = rec["fingerprint"]
-        try:
-            result = execute_scenario(rec, cache_dir=args.cache_dir)
-        except ReproError as exc:
-            emit({"t": "failed", "worker": args.worker_id, "fp": fp,
-                  "index": rec["index"], "error": str(exc)})
-        else:
-            write_result_shard(args.results_dir, fp, result)
-            emit({"t": "done", "worker": args.worker_id, "fp": fp,
-                  "index": rec["index"]})
+        emit(_run_scenario(args.worker_id, msg["scenario"], args.results_dir,
+                          args.cache_dir))
     stop.set()
     return 0

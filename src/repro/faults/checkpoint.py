@@ -1,4 +1,4 @@
-"""Append-only JSONL sweep checkpoints.
+"""Append-only JSONL sweep checkpoints: what their records mean.
 
 One line per event, flushed as it happens, so a killed sweep loses at
 most the in-flight sample:
@@ -15,14 +15,13 @@ most the in-flight sample:
   that the resuming runner must re-apply, plus informational worker-
   supervision events (``shard-retry``, ``shard-inprocess``).
 
-Every record carries a ``cs`` field — a truncated SHA-256 of the
-record's canonical JSON form without it — so a flipped byte inside a
-*syntactically valid* line can never replay as truth: checksums are
-verified on load and by ``repro fsck``.
-
-A torn final line (the classic crash artifact) is dropped on read;
-corruption anywhere else — unparseable JSON or a failed record
-checksum — raises :class:`~repro.errors.CheckpointError`.
+The line format and its torn-tail repair are :mod:`repro.journal`'s.
+A checkpoint loads *strictly*: a torn final line is dropped, other
+damage raises :class:`~repro.errors.CheckpointError`, and a journal
+with no complete line starts fresh.  A parallel sweep's workers
+journal to ``<checkpoint>.shard-<i>``, merged in once every shard has
+finished; if the parent dies first, resuming folds in every surviving
+shard journal, so no completed cell is lost.
 """
 
 from __future__ import annotations
@@ -31,10 +30,18 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import IO, Dict, List, Optional, Tuple
 
-from ..core.records import PerfSample, QuarantineEntry
+from ..core.records import PerfSample, QuarantineEntry, sample_from_record
 from ..errors import CheckpointError
+from ..journal import (
+    JOURNAL_VERSIONS,
+    TORN_TAIL,
+    UNPARSEABLE,
+    append_record,
+    repair_tail,
+    scan_lines,
+)
 from ..types import DeviceKind, Dims, Kernel, Precision, TransferType
 
 __all__ = [
@@ -42,15 +49,16 @@ __all__ = [
     "CheckpointState",
     "CheckpointWriter",
     "config_fingerprint",
-    "record_checksum",
     "sample_key",
 ]
 
-#: v2 added the per-record ``cs`` integrity checksum.
-FORMAT_VERSION = 2
+FORMAT_VERSION = JOURNAL_VERSIONS[None]
 
-#: The key one sweep cell is checkpointed and resumed under.
+#: The key one sweep cell is checkpointed and resumed under, and the
+#: record fields that hold it.
 SampleKey = Tuple[str, str, str, str, Optional[str], int, int, int, int]
+_KEY_FIELDS = ("kernel", "ident", "precision", "device", "transfer",
+               "m", "n", "k", "iterations")
 
 
 def sample_key(
@@ -97,117 +105,128 @@ def config_fingerprint(config, system_name: Optional[str]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def record_checksum(record: dict) -> str:
-    """Truncated SHA-256 of a journal record's canonical JSON form,
-    excluding the ``cs`` field itself.  Canonicalization (sorted keys,
-    compact separators) makes the digest independent of field order, so
-    hand-repaired or merged records verify as long as their *values*
-    are intact."""
-    body = {k: v for k, v in record.items() if k != "cs"}
-    blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def _key_fields(key: SampleKey) -> dict:
-    kernel, ident, precision, device, transfer, m, n, k, iterations = key
-    return {
-        "kernel": kernel,
-        "ident": ident,
-        "precision": precision,
-        "device": device,
-        "transfer": transfer,
-        "m": m,
-        "n": n,
-        "k": k,
-        "iterations": iterations,
-    }
-
-
 def _record_key(rec: dict) -> SampleKey:
-    return (
-        rec["kernel"], rec["ident"], rec["precision"], rec["device"],
-        rec["transfer"], rec["m"], rec["n"], rec["k"], rec["iterations"],
-    )
+    return tuple(map(rec.__getitem__, _KEY_FIELDS))
 
 
-def _repair_torn_tail(path: Path) -> None:
-    """Drop a torn (crash-truncated) final line before appending."""
-    text = path.read_text()
-    lines = text.splitlines(keepends=True)
-    if not lines:
-        return
-    last = lines[-1]
-    torn = not last.endswith("\n")
-    if not torn:
-        try:
-            json.loads(last)
-        except ValueError:
-            torn = True
-    if torn:
-        path.write_text("".join(lines[:-1]))
+def _shard_journals(path) -> List[Path]:
+    """The per-worker shard journals ``<path>.shard-<i>`` on disk, in
+    shard order."""
+    path = Path(path)
+    prefix = path.name + ".shard-"
+    found = [
+        p for p in path.parent.iterdir()
+        if p.name.startswith(prefix) and p.name[len(prefix):].isdigit()
+    ]
+    return sorted(found, key=lambda p: int(p.name[len(prefix):]))
+
+
+def _read(path: Path, fingerprint: str) -> List[Tuple[dict, bytes]]:
+    """Strictly verify one checkpoint or shard journal.
+
+    Returns the ``(record, line)`` pairs after the header, and none for
+    a journal with no complete line.  A torn final line is dropped; any
+    other damage, a missing header or a foreign one raises.
+    """
+    records: List[Tuple[dict, bytes]] = []
+    for number, line, rec, problem in scan_lines(path.read_bytes()):
+        if problem == TORN_TAIL:
+            break
+        if problem == UNPARSEABLE:
+            raise CheckpointError(
+                f"checkpoint {path} is corrupt at line {number}"
+            )
+        if problem:
+            raise CheckpointError(
+                f"checkpoint {path} failed its record checksum at "
+                f"line {number}; the journal has been corrupted "
+                "(run `gpu-blob fsck` to audit and repair it)"
+            )
+        records.append((rec, line))
+    if not records:
+        return []
+    header = records[0][0]
+    if header.get("t") != "header":
+        raise CheckpointError(f"checkpoint {path} has no header line")
+    if header.get("version") != FORMAT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path} has format version "
+            f"{header.get('version')!r}; this build writes "
+            f"{FORMAT_VERSION}"
+        )
+    if header.get("fingerprint") != fingerprint:
+        raise CheckpointError(
+            f"checkpoint {path} belongs to a different sweep "
+            "configuration; refusing to resume (pass resume=False to "
+            "start over)"
+        )
+    return records[1:]
 
 
 class CheckpointWriter:
-    """Appends sweep events to a JSONL checkpoint file."""
+    """Appends sweep events to a JSONL checkpoint file.
+
+    A fresh writer truncates the checkpoint and deletes any shard
+    journals an earlier sweep left beside it.  A resuming writer cuts
+    the torn tail off, writes a header only if no complete line
+    survived, and folds the surviving shard journals in.
+    """
 
     def __init__(self, path, config, system_name: Optional[str],
                  resume: bool = False) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not (resume and self.path.exists())
-        if not fresh:
-            _repair_torn_tail(self.path)
-        mode = "a" if resume else "w"
-        self._fh: Optional[TextIO] = self.path.open(mode)
-        if fresh:
-            self._write({
+        self.fingerprint = config_fingerprint(config, system_name)
+        if resume:
+            repair_tail(self.path)
+            self._fh: Optional[IO[bytes]] = self.path.open("ab")
+        else:
+            for shard in _shard_journals(self.path):
+                shard.unlink()
+            self._fh = self.path.open("wb")
+        if not self.path.stat().st_size:
+            append_record(self._fh, {
                 "t": "header",
                 "version": FORMAT_VERSION,
-                "fingerprint": config_fingerprint(config, system_name),
+                "fingerprint": self.fingerprint,
                 "system": system_name,
             })
-
-    def _write(self, record: dict) -> None:
-        if self._fh is None:  # pragma: no cover - defensive
-            raise CheckpointError("checkpoint writer is closed")
-        record["cs"] = record_checksum(record)
-        self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self._fh.flush()
+        if resume:
+            for shard in _shard_journals(self.path):
+                self.merge_shard(shard)
 
     def sample(self, key: SampleKey, sample: PerfSample) -> None:
-        rec = {"t": "sample", **_key_fields(key)}
-        rec.update(
-            seconds=sample.seconds,
-            gflops=sample.gflops,
-            checksum_ok=sample.checksum_ok,
-        )
-        self._write(rec)
+        append_record(self._fh, {
+            "t": "sample", **dict(zip(_KEY_FIELDS, key)),
+            "seconds": sample.seconds, "gflops": sample.gflops,
+            "checksum_ok": sample.checksum_ok,
+        })
 
     def quarantine(self, entry: QuarantineEntry) -> None:
         key = sample_key(
             entry.kernel, entry.ident, entry.precision, entry.device,
             entry.transfer, entry.dims, entry.iterations,
         )
-        rec = {"t": "quarantine", **_key_fields(key)}
-        rec.update(
-            attempts=entry.attempts, error=entry.error, message=entry.message
-        )
-        self._write(rec)
+        append_record(self._fh, {
+            "t": "quarantine", **dict(zip(_KEY_FIELDS, key)),
+            "attempts": entry.attempts, "error": entry.error,
+            "message": entry.message,
+        })
 
     def event(self, kind: str, detail: str = "") -> None:
-        self._write({"t": "event", "kind": kind, "detail": detail})
+        append_record(self._fh, {"t": "event", "kind": kind, "detail": detail})
 
     def merge_shard(self, path) -> int:
-        """Append every record of a per-worker shard journal (written by
-        the parallel executor) to this journal, skipping the shard's own
-        header line.  Returns the number of records merged."""
-        if self._fh is None:  # pragma: no cover - defensive
-            raise CheckpointError("checkpoint writer is closed")
-        lines = Path(path).read_text().splitlines()
-        for line in lines[1:]:
-            self._fh.write(line + "\n")
+        """Move the verified records of a per-worker shard journal into
+        this journal (without the shard's own header), delete the
+        shard, and return how many records were merged.  The shard is
+        read as strictly as a resumed checkpoint."""
+        path = Path(path)
+        records = _read(path, self.fingerprint)
+        self._fh.write(b"".join(line + b"\n" for _, line in records))
         self._fh.flush()
-        return max(0, len(lines) - 1)
+        path.unlink()
+        return len(records)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -244,71 +263,38 @@ class CheckpointReader:
 
     @staticmethod
     def load(path, config, system_name: Optional[str]) -> CheckpointState:
+        """Replay a checkpoint and any shard journals beside it.
+
+        A journal with no complete line replays as an empty state.  A
+        record folded twice (a crash between merging a shard journal
+        and deleting it) replays once.
+        """
         path = Path(path)
         if not path.exists():
             raise CheckpointError(f"checkpoint {path} does not exist")
-        lines = path.read_text().splitlines()
-        if not lines:
-            raise CheckpointError(f"checkpoint {path} is empty")
-        records: List[dict] = []
-        for i, line in enumerate(lines):
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                if i == len(lines) - 1:
-                    break  # torn final line from a crash: drop it
-                raise CheckpointError(
-                    f"checkpoint {path} is corrupt at line {i + 1}"
-                )
-            if not isinstance(rec, dict) or rec.get("cs") != record_checksum(rec):
-                raise CheckpointError(
-                    f"checkpoint {path} failed its record checksum at "
-                    f"line {i + 1}; the journal has been corrupted "
-                    "(run `gpu-blob fsck` to audit and repair it)"
-                )
-            records.append(rec)
-        if not records or records[0].get("t") != "header":
-            raise CheckpointError(f"checkpoint {path} has no header line")
-        header = records[0]
-        if header.get("version") != FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path} has format version "
-                f"{header.get('version')!r}; this build writes "
-                f"{FORMAT_VERSION}"
-            )
-        expect = config_fingerprint(config, system_name)
-        if header.get("fingerprint") != expect:
-            raise CheckpointError(
-                f"checkpoint {path} belongs to a different sweep "
-                "configuration; refusing to resume (pass resume=False to "
-                "start over)"
-            )
+        fingerprint = config_fingerprint(config, system_name)
         state = CheckpointState()
-        for rec in records[1:]:
-            kind = rec.get("t")
-            if kind == "sample":
-                state.samples[_record_key(rec)] = _parse_sample(rec)
-            elif kind == "quarantine":
-                state.quarantine.append(_parse_quarantine(rec))
-            elif kind == "event":
-                state.events.append((rec.get("kind", ""), rec.get("detail", "")))
-            else:
-                raise CheckpointError(
-                    f"checkpoint {path} has an unknown record type {kind!r}"
-                )
+        quarantined: set = set()
+        for journal in [path, *_shard_journals(path)]:
+            for rec, _ in _read(journal, fingerprint):
+                kind = rec.get("t")
+                if kind == "sample":
+                    state.samples[_record_key(rec)] = sample_from_record(rec)
+                elif kind == "quarantine":
+                    key = _record_key(rec)
+                    if key not in quarantined:
+                        quarantined.add(key)
+                        state.quarantine.append(_parse_quarantine(rec))
+                elif kind == "event":
+                    state.events.append(
+                        (rec.get("kind", ""), rec.get("detail", ""))
+                    )
+                else:
+                    raise CheckpointError(
+                        f"checkpoint {journal} has an unknown record type "
+                        f"{kind!r}"
+                    )
         return state
-
-
-def _parse_sample(rec: dict) -> PerfSample:
-    return PerfSample(
-        device=DeviceKind(rec["device"]),
-        transfer=TransferType(rec["transfer"]) if rec["transfer"] else None,
-        dims=Dims(rec["m"], rec["n"], rec["k"]),
-        iterations=rec["iterations"],
-        seconds=rec["seconds"],
-        gflops=rec["gflops"],
-        checksum_ok=rec["checksum_ok"],
-    )
 
 
 def _parse_quarantine(rec: dict) -> QuarantineEntry:

@@ -10,15 +10,12 @@ every accepted-but-incomplete entry through the supervised executor —
 so ``kill -9`` mid-burst followed by a restart still answers every
 accepted job, byte-identical to an uninterrupted run.
 
-The journal reuses the checkpoint layer's machinery
-(:mod:`repro.faults.checkpoint`): append-only JSONL, one record per
-line, each carrying a truncated-SHA-256 ``cs`` checksum of its own
-canonical form, with the classic crash artifact — a torn final line —
-repaired on open.  Unlike a sweep checkpoint, which refuses to resume
-from mid-file corruption, the WAL loads *leniently*: a record that
-fails its checksum is skipped and counted (``corrupt_records``), never
-allowed to take the serving daemon down — ``gpu-blob fsck`` audits and
-repairs the damage offline.
+The line format, the torn-tail repair on open and the ``.bad``
+rotation of an unusable file belong to :mod:`repro.journal`.  Unlike a
+sweep checkpoint, which refuses to resume from mid-file corruption,
+the WAL loads *leniently*: a record that fails its checksum is skipped
+and counted (``corrupt_records``), never allowed to take the serving
+daemon down — ``gpu-blob fsck`` audits and repairs the damage offline.
 
 Record types (all with ``cs``):
 
@@ -39,55 +36,35 @@ Record types (all with ``cs``):
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..faults.checkpoint import _repair_torn_tail, record_checksum
+from ..journal import JOURNAL_VERSIONS, ChecksummedJournal, scan_journal
 
 __all__ = [
     "WAL_KIND",
     "WAL_VERSION",
-    "ChecksummedJournal",
-    "JournalScan",
     "WalJob",
     "WalState",
     "WriteAheadLog",
     "default_owner",
     "load_wal_state",
-    "repair_wal_tail",
-    "scan_journal",
 ]
-
-#: Format version of the serve WAL journal.
-WAL_VERSION = 1
 
 #: The header ``kind`` marker that distinguishes a serve WAL from a
 #: sweep checkpoint journal (both are checksummed JSONL).
 WAL_KIND = "serve-wal"
 
-#: Record types a WAL may contain (beyond the header).
-RECORD_TYPES = ("accept", "renew", "complete", "dead")
+#: Format version of the serve WAL journal.
+WAL_VERSION = JOURNAL_VERSIONS[WAL_KIND]
 
 
 def default_owner() -> str:
     """The lease owner id of this daemon process."""
     return f"{socket.gethostname()}:{os.getpid()}"
-
-
-def repair_wal_tail(path) -> bool:
-    """Drop a torn (crash-truncated) final line; returns True when a
-    line was dropped.  Idempotent: a repaired file is a fixed point."""
-    path = Path(path)
-    if not path.exists():
-        return False
-    before = path.stat().st_size
-    _repair_torn_tail(path)
-    return path.stat().st_size != before
 
 
 @dataclass
@@ -175,61 +152,6 @@ def _apply_record(state: WalState, rec: dict) -> bool:
     return False
 
 
-@dataclass
-class JournalScan:
-    """The raw verified content of one checksummed JSONL journal,
-    before any dialect-specific folding."""
-
-    #: verified non-header records, in file order
-    records: list = field(default_factory=list)
-    #: the verified header record itself (None when missing/damaged)
-    header: Optional[dict] = None
-    corrupt_records: int = 0
-    torn_tail: bool = False
-    has_header: bool = False
-
-
-def scan_journal(path, kind: Optional[str], version: int) -> JournalScan:
-    """Verify one checksummed JSONL journal line by line.
-
-    The shared read side of every journal dialect (sweep checkpoints,
-    serve WALs, dist ledgers): a missing file is an empty scan; a torn
-    final line — the crash artifact — is ignored without being counted
-    as corruption; any other unparseable or checksum-failed line bumps
-    ``corrupt_records`` and is skipped.  ``has_header`` is only set
-    when the header's ``kind``/``version`` match the expected dialect
-    (``kind=None`` accepts a header with no kind marker — the sweep
-    checkpoint dialect).
-    """
-    path = Path(path)
-    scan = JournalScan()
-    try:
-        lines = path.read_text().splitlines()
-    except OSError:
-        return scan
-    for i, line in enumerate(lines):
-        try:
-            rec = json.loads(line)
-        except ValueError:
-            if i == len(lines) - 1:
-                scan.torn_tail = True
-            else:
-                scan.corrupt_records += 1
-            continue
-        if not isinstance(rec, dict) or rec.get("cs") != record_checksum(rec):
-            scan.corrupt_records += 1
-            continue
-        if rec.get("t") == "header":
-            if rec.get("kind") == kind and rec.get("version") == version:
-                scan.has_header = True
-                scan.header = rec
-            else:
-                scan.corrupt_records += 1
-            continue
-        scan.records.append(rec)
-    return scan
-
-
 def load_wal_state(path) -> WalState:
     """Parse one WAL file, skipping (and counting) damaged records.
 
@@ -237,11 +159,14 @@ def load_wal_state(path) -> WalState:
     serving daemon must come back up even when its journal took a hit
     (``gpu-blob fsck --repair`` moves the damage aside offline).
     """
-    scan = scan_journal(path, WAL_KIND, WAL_VERSION)
+    return _fold(scan_journal(path, WAL_KIND, WAL_VERSION))
+
+
+def _fold(scan) -> WalState:
     state = WalState(
         corrupt_records=scan.corrupt_records,
         torn_tail=scan.torn_tail,
-        has_header=scan.has_header,
+        has_header=scan.header is not None,
     )
     for rec in scan.records:
         if not _apply_record(state, rec):
@@ -249,83 +174,11 @@ def load_wal_state(path) -> WalState:
     return state
 
 
-class ChecksummedJournal:
-    """Shared write side of every durable journal dialect.
-
-    Subclasses set ``kind`` and ``version``; opening repairs a torn
-    tail, scans the surviving records, and — when the file is non-empty
-    but headerless (or carries a *different* dialect's header) —
-    rotates the unusable journal to a ``.bad`` sidecar and starts
-    fresh, so construction never fails closed on a damaged file.
-    Subclasses fold ``self.scan`` into their own state and may veto a
-    resume by overriding :meth:`_check_header` (raise before the append
-    handle opens).
-
-    ``healthy`` tracks the last append: an ``OSError`` (disk full, the
-    chaos harness's ``wal-stall`` fault) flips it False, the next
-    successful append flips it back.
-    """
-
-    kind: Optional[str] = None
-    version: int = 0
-
-    def __init__(self, path, clock=time.time, sync: bool = True) -> None:
-        self.path = Path(path)
-        self.clock = clock
-        self.sync = sync
-        self.healthy = True
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        existed = self.path.exists()
-        if existed:
-            repair_wal_tail(self.path)
-        self.scan = scan_journal(self.path, self.kind, self.version)
-        if existed and not self.scan.has_header and self.path.stat().st_size:
-            # a journal we cannot trust at all: move it aside, restart
-            self.path.replace(self.path.with_name(self.path.name + ".bad"))
-            self.scan = JournalScan()
-        self._check_header(self.scan)
-        self._fh: Optional[TextIO] = self.path.open("a")
-        if not self.scan.has_header:
-            self._append({
-                "t": "header", "version": self.version, "kind": self.kind,
-                **self._header_extra(),
-            })
-            self.scan.has_header = True
-
-    def _header_extra(self) -> dict:
-        """Extra fields a dialect stamps into a fresh header."""
-        return {}
-
-    def _check_header(self, scan: JournalScan) -> None:
-        """Dialect hook: veto resuming from a header that verifies but
-        belongs to different work (raise before anything is written)."""
-
-    def _append(self, record: dict) -> None:
-        if self._fh is None:
-            raise ValueError(f"{type(self).__name__} is closed")
-        record["cs"] = record_checksum(record)
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        try:
-            self._fh.write(line)
-            self._fh.flush()
-            if self.sync:
-                os.fsync(self._fh.fileno())
-        except OSError:
-            self.healthy = False
-            raise
-        self.healthy = True
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-
 class WriteAheadLog(ChecksummedJournal):
     """Append-only, fsynced journal of accepted serve jobs.
 
-    See :class:`ChecksummedJournal` for the open/repair/rotate
-    behavior; ``/readyz`` reports :attr:`healthy`.
+    See :class:`~repro.journal.ChecksummedJournal` for the
+    open/repair/rotate behavior; ``/readyz`` reports :attr:`healthy`.
     """
 
     kind = WAL_KIND
@@ -344,14 +197,7 @@ class WriteAheadLog(ChecksummedJournal):
         self.owner = owner if owner is not None else default_owner()
         self.lease_s = lease_s
         super().__init__(path, clock=clock, sync=sync)
-        self.state = WalState(
-            corrupt_records=self.scan.corrupt_records,
-            torn_tail=self.scan.torn_tail,
-            has_header=self.scan.has_header,
-        )
-        for rec in self.scan.records:
-            if not _apply_record(self.state, rec):
-                self.state.corrupt_records += 1
+        self.state = _fold(self.scan)
         self._next_id = self.state.next_id
 
     def append_accept(self, key: str, query: dict, attempt: int = 1) -> int:

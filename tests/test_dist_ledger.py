@@ -15,7 +15,8 @@ import json
 
 import pytest
 
-from repro.core.fsck import fsck_journal, fsck_paths, fsck_result_shard
+from repro.core.fsck import fsck_envelope as fsck_result_shard
+from repro.core.fsck import fsck_journal, fsck_paths
 from repro.dist.heartbeat import HeartbeatMonitor
 from repro.dist.ledger import (
     LEDGER_KIND,
@@ -24,7 +25,7 @@ from repro.dist.ledger import (
     load_ledger_state,
 )
 from repro.errors import ConfigError
-from repro.faults.checkpoint import record_checksum
+from repro.journal import record_checksum
 
 
 class FakeClock:

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 
+import repro.cli as cli
 from repro import AnalyticBackend, RunConfig, make_model, run_sweep
 from repro.core.csvio import write_run
+from repro.core.fsck import fsck_envelope as fsck_cache_entry
 from repro.core.fsck import (
-    fsck_cache_entry,
     fsck_journal,
     fsck_paths,
     fsck_results_csv,
@@ -96,6 +97,24 @@ def test_torn_tail_is_reported_as_such(tmp_path):
     journal.write_text(journal.read_text()[:-20])
     findings = fsck_journal(journal)
     assert len(findings) == 1 and "torn" in findings[0].problem
+
+
+def test_shard_journals_are_audited(tmp_path):
+    """A parallel sweep's per-worker ``*.jsonl.shard-<i>`` journals are
+    journals too: a flipped byte in one fails the directory audit."""
+    _artifacts(tmp_path, checkpoint=True)
+    shard = tmp_path / "ck.jsonl.shard-0"
+    lines = (tmp_path / "ck.jsonl").read_text().splitlines()
+    lines[2] = lines[2].replace('"m":', '"n":', 1)
+    shard.write_text("\n".join(lines) + "\n")
+    (tmp_path / "ck.jsonl").unlink()
+    findings = fsck_paths([tmp_path])
+    assert [(f.path.name, f.problem) for f in findings] == [
+        ("ck.jsonl.shard-0", "line 3: record checksum mismatch")
+    ]
+    assert cli.main(["fsck", str(tmp_path)]) == 4
+    assert cli.main(["fsck", "--repair", str(tmp_path)]) == 0
+    assert fsck_paths([tmp_path]) == []
 
 
 def test_headerless_journal_is_not_repairable(tmp_path):

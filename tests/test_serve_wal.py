@@ -24,12 +24,12 @@ from repro.faults.servechaos import (
     ServeChaosPlan,
     flip_byte_in_last_record,
 )
+from repro.journal import repair_tail as repair_wal_tail
 from repro.serve.client import ServeClient
 from repro.serve.service import ServeConfig, start_server
 from repro.serve.wal import (
     WriteAheadLog,
     load_wal_state,
-    repair_wal_tail,
 )
 
 QUERY = {

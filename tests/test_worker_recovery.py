@@ -19,7 +19,7 @@ from repro import AnalyticBackend, RunConfig, make_model, run_sweep
 from repro.core.csvio import write_run
 from repro.core.runner import _MAX_SHARD_RETRIES
 from repro.errors import ConfigError
-from repro.faults.checkpoint import CheckpointReader
+from repro.faults.checkpoint import CheckpointReader, CheckpointWriter
 from repro.types import Kernel, Precision
 
 CONFIG = RunConfig(
@@ -93,6 +93,36 @@ def test_recoveries_are_journaled_and_journal_replays(tmp_path):
     state = CheckpointReader.load(ckpt, CONFIG, "dawn")
     n_cells = sum(len(s.all_samples()) for s in result.series)
     assert len(state.samples) == n_cells
+
+
+def test_parent_crash_before_shard_merge_loses_no_cell(tmp_path, monkeypatch):
+    """The parent dies after its workers journaled every cell but
+    before it merged their shard journals: resuming folds the surviving
+    shard journals in, so every cell replays."""
+    ckpt = tmp_path / "sweep.jsonl"
+    serial = run_sweep(AnalyticBackend(MODEL), CONFIG, "dawn")
+
+    def killed(self, path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(CheckpointWriter, "merge_shard", killed)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(AnalyticBackend(MODEL), CONFIG, "dawn", jobs=2,
+                  checkpoint=ckpt)
+    monkeypatch.undo()
+    assert len(list(tmp_path.glob("sweep.jsonl.shard-*"))) == 4
+    resumed = run_sweep(AnalyticBackend(MODEL), CONFIG, "dawn", jobs=2,
+                        checkpoint=ckpt, resume=True)
+    n_cells = sum(len(s.all_samples()) for s in serial.series)
+    assert resumed.stats.resumed_samples == n_cells
+    assert resumed == serial
+    assert _csv_bytes(serial, tmp_path / "a") == _csv_bytes(
+        resumed, tmp_path / "b"
+    )
+    # the shard journals were folded into the checkpoint, which now
+    # replays the whole sweep on its own
+    assert not list(tmp_path.glob("*.shard-*"))
+    assert len(CheckpointReader.load(ckpt, CONFIG, "dawn").samples) == n_cells
 
 
 def test_chaos_env_hook_kills_and_recovers(tmp_path, monkeypatch):
