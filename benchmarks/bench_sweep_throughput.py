@@ -9,7 +9,10 @@ spread over the warm worker pool; each worker runs the vectorized fast
 path internally, so the ``vectorized+jobs=N`` rows measure the combined
 stack: warm-pool dispatch + shared-memory results + batched kernels.
 All strategies produce bit-identical series — asserted here on every
-run — so the numbers compare pure executor overhead.
+run — so the numbers compare pure executor overhead.  The cache rows
+time storing the vectorized result in the content-addressed sweep
+cache and replaying it through ``run_sweep(..., cache_dir=...)``: a hit
+only pays when it costs less than the recompute it replaces.
 
 Writes ``results/BENCH_sweep_throughput.json``.  Runnable standalone::
 
@@ -17,20 +20,24 @@ Writes ``results/BENCH_sweep_throughput.json``.  Runnable standalone::
     PYTHONPATH=src:benchmarks python benchmarks/bench_sweep_throughput.py --check
 
 ``--check`` exits non-zero unless the vectorized path clears 5x the
-serial-scalar cells/s AND the combined vectorized+jobs=4 path clears 3x
-(the CI perf-smoke floors; measured margins are larger).
+serial-scalar cells/s, the combined vectorized+jobs=4 path clears 3x,
+AND a cache hit costs no more than one vectorized recompute (the CI
+perf-smoke gates; measured margins are larger).
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 from harness import RESULTS_DIR, backend_for, run_once
 from repro.core import workerpool
 from repro.core.config import RunConfig
 from repro.core.runner import run_sweep
+from repro.core.sweepcache import store_run
 from repro.types import Kernel
 
 SYSTEM = "dawn"
@@ -41,8 +48,13 @@ SPEEDUP_FLOOR = 5.0
 #: era (~1.3x) now that spawns amortize across sweeps
 PARALLEL_FLOOR = 3.0
 PARALLEL_JOBS = (2, 4)
+#: a cache hit may cost at most this many vectorized recomputes
+HIT_CEILING = 1.0
 #: timing repeats per strategy (after one untimed warmup); best-of wins
 ROUNDS = 3
+#: repeats of the cache rows and the recompute they are compared with:
+#: both take tens of ms, so more rounds steady the gated ratio
+CACHE_ROUNDS = 10
 
 
 class _ScalarOnly:
@@ -85,15 +97,15 @@ def measure() -> dict:
     config = _table3_config()
     backend = backend_for(SYSTEM)
 
-    def timed(run):
-        """Best wall time of ``ROUNDS`` repeats after one warmup: the
+    def timed(run, rounds=ROUNDS):
+        """Best wall time of ``rounds`` repeats after one warmup: the
         sweep is deterministic, so the minimum is the least-noisy
         estimate of its cost.  The warmup also spawns the warm worker
         pool, so the timed parallel rounds measure steady-state reuse
         — exactly what campaigns and the serving daemon see."""
         result = run()
         best = float("inf")
-        for _ in range(ROUNDS):
+        for _ in range(rounds):
             t0 = time.perf_counter()
             result = run()
             best = min(best, time.perf_counter() - t0)
@@ -110,6 +122,25 @@ def measure() -> dict:
     )
 
     cells = _cell_count(serial_result)
+    with tempfile.TemporaryDirectory() as cache_dir:
+        entry, store_s = timed(
+            lambda: store_run(cache_dir, backend, vector_result),
+            CACHE_ROUNDS,
+        )
+        entry_bytes = Path(entry).stat().st_size
+        hit_result, hit_s = timed(
+            lambda: run_sweep(backend, config, SYSTEM, cache_dir=cache_dir),
+            CACHE_ROUNDS,
+        )
+    # the recompute a hit replaces, timed right after it the same way
+    _, recompute_s = timed(
+        lambda: run_sweep(backend, config, SYSTEM), CACHE_ROUNDS
+    )
+    assert hit_result.cache_hit, "the cache-hit row did not hit"
+    assert hit_result.series == serial_result.series, (
+        "cache replay diverged from the scalar reference"
+    )
+
     scaling = []
     for jobs in PARALLEL_JOBS:
         workerpool.shutdown_all()
@@ -153,6 +184,13 @@ def measure() -> dict:
             "speedup_vs_serial": serial_s / vector_s,
         },
         "parallel": scaling,
+        "cache": {
+            "entry_bytes": entry_bytes,
+            "store_seconds": store_s,
+            "hit_seconds": hit_s,
+            "recompute_seconds": recompute_s,
+            "hit_vs_recompute": hit_s / recompute_s,
+        },
     }
 
 
@@ -172,6 +210,13 @@ def report(data: dict) -> str:
             f"{row['pool_warm_reuse']} warm reuse(s), "
             f"{row['shard_bytes_transferred']} shm bytes)"
         )
+    cache = data["cache"]
+    lines += [
+        f"  cache store        : {cache['store_seconds'] * 1e3:10.1f} ms"
+        f"  ({cache['entry_bytes']} bytes)",
+        f"  cache hit          : {cache['hit_seconds'] * 1e3:10.1f} ms"
+        f"  ({cache['hit_vs_recompute']:.2f}x a vectorized recompute)",
+    ]
     return "\n".join(lines)
 
 
@@ -195,6 +240,7 @@ def test_sweep_throughput(benchmark):
     print("\n" + report(data))
     assert data["vectorized"]["speedup_vs_serial"] >= SPEEDUP_FLOOR
     assert _jobs4_speedup(data) >= PARALLEL_FLOOR
+    assert data["cache"]["hit_vs_recompute"] <= HIT_CEILING
 
 
 def main(argv=None) -> int:
@@ -216,6 +262,14 @@ def main(argv=None) -> int:
         print(
             f"FAIL: vectorized+jobs={max(PARALLEL_JOBS)} speedup "
             f"{parallel:.1f}x is below the {PARALLEL_FLOOR:.0f}x floor",
+            file=sys.stderr,
+        )
+        failed = True
+    hit = data["cache"]["hit_vs_recompute"]
+    if check and hit > HIT_CEILING:
+        print(
+            f"FAIL: a cache hit costs {hit:.2f}x a vectorized recompute, "
+            f"above the {HIT_CEILING:.1f}x ceiling",
             file=sys.stderr,
         )
         failed = True

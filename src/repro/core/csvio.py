@@ -44,40 +44,42 @@ def series_filename(series: ProblemSeries) -> str:
     return f"{blas}_{series.ident}_i{series.iterations}.csv"
 
 
-def _row(sample: PerfSample, series: ProblemSeries) -> dict:
-    return {
-        "device": sample.device.value,
-        "transfer": sample.transfer.value if sample.transfer else "",
-        "kernel": series.kernel.value,
-        "problem_type": series.ident,
-        "m": sample.dims.m,
-        "n": sample.dims.n,
-        "k": sample.dims.k,
-        "iterations": sample.iterations,
-        "seconds": repr(sample.seconds),
-        "gflops": repr(sample.gflops),
-        "checksum_ok": "" if sample.checksum_ok is None else int(sample.checksum_ok),
-    }
+def _row(sample: PerfSample, kernel: str, ident: str) -> tuple:
+    """The cells of one sample's CSV row, in :data:`FIELDNAMES` order."""
+    return (
+        sample.device.value,
+        sample.transfer.value if sample.transfer else "",
+        kernel,
+        ident,
+        sample.dims.m,
+        sample.dims.n,
+        sample.dims.k,
+        sample.iterations,
+        repr(sample.seconds),
+        repr(sample.gflops),
+        "" if sample.checksum_ok is None else int(sample.checksum_ok),
+    )
 
 
 def sample_row(sample: PerfSample, series: ProblemSeries) -> dict:
     """One sample as the exact cell strings :func:`write_series` emits.
 
-    ``csv.DictWriter`` stringifies every value on the way out, so this
-    is the byte-level contract of a CSV row — the serving daemon reuses
-    it for its ``series`` payloads, which keeps a cached API response
+    ``csv.writer`` stringifies every value on the way out, so this is
+    the byte-level contract of a CSV row — the serving daemon reuses it
+    for its ``series`` payloads, which keeps a cached API response
     byte-identical to the CLI's CSV output.
     """
-    return {k: str(v) for k, v in _row(sample, series).items()}
+    row = _row(sample, series.kernel.value, series.ident)
+    return dict(zip(FIELDNAMES, map(str, row)))
 
 
 def write_series(series: ProblemSeries, path) -> Path:
     path = Path(path)
+    kernel, ident = series.kernel.value, series.ident
     with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=FIELDNAMES)
-        writer.writeheader()
-        for sample in series.samples:
-            writer.writerow(_row(sample, series))
+        writer = csv.writer(fh)
+        writer.writerow(FIELDNAMES)
+        writer.writerows(_row(s, kernel, ident) for s in series.samples)
     return path
 
 

@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Iterable, List, Optional
 
 from ..journal import (
-    ENVELOPE_VERSIONS,
     JOURNAL_VERSIONS,
     EnvelopeError,
     open_envelope,
@@ -164,7 +163,7 @@ def fsck_envelope(path, repair: bool = False) -> List[Finding]:
     kind = _ENVELOPE_STEMS.get(len(path.stem), "cache")
     fields = {"fingerprint": path.stem} if kind == "shard" else {}
     try:
-        open_envelope(path.read_bytes(), ENVELOPE_VERSIONS[kind], **fields)
+        open_envelope(path.read_bytes(), kind, **fields)
     except OSError as exc:
         return [Finding(path, kind, f"unreadable: {exc}")]
     except EnvelopeError as exc:

@@ -29,8 +29,9 @@ Three execution strategies exist, all producing bit-identical results:
 With ``cache_dir=`` the runner keys a content-addressed result store on
 the checkpoint config fingerprint plus the backend's ``cache_token``;
 re-running an identical (config, system, backend) sweep is a cache hit
-that replays the stored samples exactly (floats round-trip through JSON
-bit-for-bit).  Only complete, fault-free, non-degraded runs are stored.
+that replays the stored samples exactly (series are stored as column
+arrays, floats as raw bits).  Only complete, fault-free, non-degraded
+runs are stored.
 
 Unlike a lab-bench loop, ``run_sweep`` assumes samples can *fail* the
 way they do on real HPC queues (see :mod:`repro.faults`):
@@ -82,7 +83,13 @@ from .invariants import (
     guard_spec,
     invariant_context,
 )
-from .records import PerfSample, ProblemSeries, QuarantineEntry
+from .records import (
+    PerfSample,
+    ProblemSeries,
+    QuarantineEntry,
+    decode_series,
+    encode_series,
+)
 from .threshold import ThresholdResult, threshold_for_series
 
 __all__ = ["RetryPolicy", "RunResult", "SweepStats", "run_sweep"]
@@ -825,81 +832,32 @@ def _decode_done(rows: list) -> Dict[tuple, PerfSample]:
     return out
 
 
-#: checksum_ok tristate encoding in the shared-memory check column
-_CHECK_CODE = {None: -1, False: 0, True: 1}
-_CHECK_DECODE = {-1: None, 0: False, 1: True}
-
-
 def _pack_shard_result(series: ProblemSeries, result: RunResult) -> tuple:
-    """Worker-side result encoding: one shared-memory segment per shard.
+    """Worker-side result encoding: the series' column codec bytes
+    (:func:`~repro.core.records.encode_series`) in one shared-memory
+    segment, its column metadata on the pipe.
 
-    Layout (DESIGN §14): int64 dims ``(nd, 3)`` | float64 values
-    ``(n, 2)`` (seconds, gflops — raw bit patterns, so the parent's
-    reconstruction is bitwise identical) | int8 checksum codes ``(n,)``,
-    where ``n`` counts every sample in series order (CPU column, then
-    each transfer column).  In the common full-shard case every column
-    samples the same dims sequence, so the dims table is deduplicated
-    to one column's worth (``nd = n / len(columns)``) and the parent
-    reuses one ``Dims`` object per row across all columns; otherwise
-    ``nd == n`` and dims ship per sample.  The segment is unregistered
-    from the worker's resource tracker — ownership transfers to the
-    parent, which copies and unlinks it.  Any trouble (no shm support,
-    empty series, mixed iteration counts) falls back to returning the
-    pickled series.
+    The segment is unregistered from the worker's resource tracker —
+    ownership transfers to the parent, which copies and unlinks it.  Any
+    trouble (no shm support, an empty series, a series the codec
+    refuses) falls back to returning the pickled series.
     """
     try:
-        import numpy as np
         from multiprocessing import resource_tracker, shared_memory
 
-        cols = [series.cpu] + list(series.gpu.values())
-        samples = series.all_samples()
-        n = len(samples)
-        if n == 0:
-            raise ValueError("empty series")
-        for s in samples:
-            if s.iterations != series.iterations:
-                raise ValueError("mixed iteration counts")
-        columns = [("cpu", None, len(series.cpu))]
-        columns.extend(
-            ("gpu", transfer.value, len(col))
-            for transfer, col in series.gpu.items()
-        )
-        first = cols[0]
-        shared_dims = all(len(col) == len(first) for col in cols) and all(
-            a.dims is b.dims or a.dims == b.dims
-            for col in cols[1:]
-            for a, b in zip(first, col)
-        )
-        dim_samples = first if shared_dims else samples
-        nd = len(dim_samples)
-        nbytes = nd * 24 + n * 16 + n
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
+        (meta,), data = encode_series([series])
+        shm = shared_memory.SharedMemory(create=True, size=len(data))
         try:
-            dims_arr = np.ndarray((nd, 3), dtype=np.int64, buffer=shm.buf)
-            vals_arr = np.ndarray(
-                (n, 2), dtype=np.float64, buffer=shm.buf, offset=nd * 24
-            )
-            checks_arr = np.ndarray(
-                (n,), dtype=np.int8, buffer=shm.buf,
-                offset=nd * 24 + n * 16,
-            )
-            # bulk assignments: per-row scalar stores cost more than the
-            # shard's kernel math on large sweeps
-            dims_arr[:] = [
-                (s.dims.m, s.dims.n, s.dims.k) for s in dim_samples
-            ]
-            vals_arr[:] = [(s.seconds, s.gflops) for s in samples]
-            checks_arr[:] = [_CHECK_CODE[s.checksum_ok] for s in samples]
+            shm.buf[:len(data)] = data
             name = shm.name
         finally:
-            del dims_arr, vals_arr, checks_arr
             try:
                 resource_tracker.unregister(shm._name, "shared_memory")
             except Exception:
                 pass
             shm.close()
         return (
-            "shm", name, n, nd, nbytes, columns, series.partial,
+            "shm", name, len(data), meta,
             result.quarantine, result.degraded, result.device_lost,
             result.stats,
         )
@@ -910,7 +868,7 @@ def _pack_shard_result(series: ProblemSeries, result: RunResult) -> tuple:
         )
 
 
-def _decode_shard_result(outcome: tuple, shard, config: RunConfig):
+def _decode_shard_result(outcome: tuple):
     """Parent-side inverse of :func:`_pack_shard_result`."""
     from . import workerpool
 
@@ -921,86 +879,17 @@ def _decode_shard_result(outcome: tuple, shard, config: RunConfig):
             workerpool.record_shard(pickled=True)
         return outcome[1:]
     (
-        _tag, name, n, nd, nbytes, columns, partial,
-        quarantine, degraded, device_lost, stats,
+        _tag, name, nbytes, meta, quarantine, degraded, device_lost, stats,
     ) = outcome
-    import numpy as np
     from multiprocessing import shared_memory
 
-    problem_type, precision = shard
     shm = shared_memory.SharedMemory(name=name)
     try:
-        # tolist() detaches into pure-Python objects, so no copy is
-        # needed before closing the segment; column-wise flat lists
-        # keep the reconstruction loop free of nested tuple unpacking
-        dims_arr = np.ndarray((nd, 3), dtype=np.int64, buffer=shm.buf)
-        vals_arr = np.ndarray(
-            (n, 2), dtype=np.float64, buffer=shm.buf, offset=nd * 24
-        )
-        checks_arr = np.ndarray(
-            (n,), dtype=np.int8, buffer=shm.buf, offset=nd * 24 + n * 16
-        )
-        col_m = dims_arr[:, 0].tolist()
-        col_n = dims_arr[:, 1].tolist()
-        col_k = dims_arr[:, 2].tolist()
-        col_s = vals_arr[:, 0].tolist()
-        col_g = vals_arr[:, 1].tolist()
-        check_codes = checks_arr.tolist()
+        data = bytes(shm.buf[:nbytes])
     finally:
-        del dims_arr, vals_arr, checks_arr
         shm.close()
         shm.unlink()
-    series = ProblemSeries(
-        problem_type=problem_type,
-        precision=precision,
-        iterations=config.iterations,
-        partial=partial,
-    )
-    iterations = config.iterations
-    decode = _CHECK_DECODE
-    # deduplicated dims table (see _pack_shard_result): build each Dims
-    # once and share the objects across columns, exactly as the batch
-    # fast path does worker-side
-    shared = nd < n
-    dims_objs = (
-        [Dims(m, n_, k) for m, n_, k in zip(col_m, col_n, col_k)]
-        if shared else None
-    )
-    row = 0
-    for device_v, transfer_v, count in columns:
-        device = DeviceKind(device_v)
-        transfer = TransferType(transfer_v) if transfer_v else None
-        end = row + count
-        # positional construction in one comprehension: this loop
-        # rebuilds every sample of every shard, so it is the parent's
-        # hottest path under jobs=N
-        if shared:
-            column = [
-                PerfSample(
-                    device, transfer, d, iterations,
-                    seconds, gflops, decode[code],
-                )
-                for d, seconds, gflops, code in zip(
-                    dims_objs, col_s[row:end], col_g[row:end],
-                    check_codes[row:end],
-                )
-            ]
-        else:
-            column = [
-                PerfSample(
-                    device, transfer, Dims(m, n_, k), iterations,
-                    seconds, gflops, decode[code],
-                )
-                for m, n_, k, seconds, gflops, code in zip(
-                    col_m[row:end], col_n[row:end], col_k[row:end],
-                    col_s[row:end], col_g[row:end], check_codes[row:end],
-                )
-            ]
-        row = end
-        if device is DeviceKind.CPU:
-            series.cpu.extend(column)
-        else:
-            series.gpu[transfer] = column
+    (series,) = decode_series([meta], data)
     workerpool.record_shard(nbytes)
     return series, quarantine, degraded, device_lost, stats
 
@@ -1282,7 +1171,7 @@ def _run_parallel(
         pending = still
     for i, (outcome, shard_path) in enumerate(zip(outcomes, shard_paths)):
         series, quarantine, degraded, device_lost, shard_stats = (
-            _decode_shard_result(outcome, shards[i], config)
+            _decode_shard_result(outcome)
         )
         result.series.append(series)
         result.quarantine.extend(quarantine)

@@ -8,11 +8,14 @@ layer's config fingerprint (:func:`repro.faults.checkpoint
 full parameterization of the model behind it — so a hit can only replay
 a run that would have been recomputed identically.
 
-Floats are stored as JSON numbers, which round-trip exactly, so a
-cache hit reproduces every ``PerfSample`` bit-for-bit and downstream
-CSVs stay byte-identical.  Only complete, fault-free, non-degraded runs
-are stored; anything else (quarantined cells, device loss, host
-measurements with no token) falls through to a real execution.
+An entry holds each series as column arrays (the codec of
+:func:`repro.core.records.encode_series`): floats travel as raw bits,
+so a cache hit reproduces every ``PerfSample`` bit-for-bit and
+downstream CSVs stay byte-identical.  Entries an older build wrote,
+with one JSON record per sample, still load.  Only complete,
+fault-free, non-degraded runs are stored; anything else (quarantined
+cells, device loss, host measurements with no token) falls through to
+a real execution.
 
 Integrity: every entry is a sealed envelope (:mod:`repro.journal`),
 written through a tmp file and a rename and verified against its
@@ -38,6 +41,7 @@ thundering herd on one cold key runs a single sweep.
 
 from __future__ import annotations
 
+import binascii
 import contextlib
 import hashlib
 import json
@@ -50,7 +54,6 @@ from typing import Callable, Dict, List, Optional
 from ..errors import CacheIntegrityWarning, ConfigError
 from ..faults.checkpoint import config_fingerprint
 from ..journal import (
-    ENVELOPE_VERSIONS,
     UNPARSEABLE,
     EnvelopeError,
     open_envelope,
@@ -60,11 +63,17 @@ from ..journal import (
 from ..types import Kernel, Precision
 from .config import RunConfig
 from .problem import get_problem_type
-from .records import PerfSample, ProblemSeries, sample_from_record
+from .records import (
+    ProblemSeries,
+    decode_series,
+    encode_series,
+    sample_from_record,
+)
 
 __all__ = [
     "SingleFlight",
     "cache_stats",
+    "entry_path",
     "find_stale_series",
     "load_cached_run",
     "parse_run_payload",
@@ -74,8 +83,6 @@ __all__ = [
     "sweep_cache_key",
     "top_entries",
 ]
-
-CACHE_VERSION = ENVELOPE_VERSIONS["cache"]
 
 #: Cross-process writer lock, held only around mutations of the store.
 LOCK_FILENAME = ".lock"
@@ -119,7 +126,8 @@ def _cache_lock(cache_dir):
             fcntl.flock(fh, fcntl.LOCK_UN)
 
 
-def _entry_path(cache_dir, key: str) -> Path:
+def entry_path(cache_dir, key: str) -> Path:
+    """Where the entry of cache key ``key`` lives (present or not)."""
     return Path(cache_dir) / f"{key}.json"
 
 
@@ -164,7 +172,7 @@ def top_entries(cache_dir, limit: int = 10) -> List[dict]:
     )[: max(0, limit)]
     out = []
     for key, hits in ranked:
-        present = _entry_path(cache_dir, key).is_file()
+        present = entry_path(cache_dir, key).is_file()
         out.append({"key": key, "hits": int(hits), "present": present})
     return out
 
@@ -255,21 +263,7 @@ class SingleFlight:
         return flight.result
 
 
-def _sample_record(sample: PerfSample) -> dict:
-    return {
-        "device": sample.device.value,
-        "transfer": sample.transfer.value if sample.transfer else None,
-        "m": sample.dims.m,
-        "n": sample.dims.n,
-        "k": sample.dims.k,
-        "iterations": sample.iterations,
-        "seconds": sample.seconds,
-        "gflops": sample.gflops,
-        "checksum_ok": sample.checksum_ok,
-    }
-
-
-def _parse_series(rec: dict) -> ProblemSeries:
+def _parse_legacy_series(rec: dict) -> ProblemSeries:
     series = ProblemSeries(
         problem_type=get_problem_type(Kernel(rec["kernel"]), rec["ident"]),
         precision=Precision(rec["precision"]),
@@ -280,39 +274,45 @@ def _parse_series(rec: dict) -> ProblemSeries:
     return series
 
 
+def _payload_series(payload: dict) -> List[ProblemSeries]:
+    if "data" not in payload:
+        # cache v2 / shard v1, written by an older build: one JSON
+        # record per sample
+        return [_parse_legacy_series(rec) for rec in payload["series"]]
+    return decode_series(
+        payload["series"], binascii.a2b_base64(payload["data"])
+    )
+
+
 def run_payload(result) -> dict:
-    """The canonical JSON form of one run's series — the shared
-    serialization of cache entries and distributed-campaign result
-    shards.  Floats round-trip through JSON exactly, so a payload
-    parsed back by :func:`parse_run_payload` reproduces the run
-    byte-for-byte in every CSV it feeds."""
+    """The payload of one run's sealed envelope — the shared form of
+    cache entries and distributed-campaign result shards: each series'
+    column metadata plus the codec's little-endian arrays
+    (:func:`~repro.core.records.encode_series`) as one base64 string.
+    Floats travel as raw bits, so a payload parsed back by
+    :func:`parse_run_payload` reproduces the run byte-for-byte in every
+    CSV it feeds.  Raises ValueError for a series the codec refuses."""
+    metas, data = encode_series(result.series)
     return {
         "system": result.system_name,
-        "series": [
-            {
-                "kernel": series.kernel.value,
-                "ident": series.ident,
-                "precision": series.precision.value,
-                "iterations": series.iterations,
-                "samples": [_sample_record(s) for s in series.samples],
-            }
-            for series in result.series
-        ],
+        "series": metas,
+        "data": binascii.b2a_base64(data, newline=False).decode("ascii"),
     }
 
 
 def parse_run_payload(payload: dict, config: RunConfig,
                       system_name: Optional[str]):
     """Reconstruct a :class:`~repro.core.runner.RunResult` from a
-    :func:`run_payload` dict.  Raises ``KeyError``/``TypeError``/
-    ``ValueError`` on malformed payloads — callers decide whether that
-    is a warned cache miss or a re-dispatched scenario."""
+    :func:`run_payload` dict (or the per-sample records an older build
+    wrote).  Raises ``KeyError``/``TypeError``/``ValueError`` on
+    malformed payloads — callers decide whether that is a warned cache
+    miss or a re-dispatched scenario."""
     from .runner import RunResult  # local import: runner imports us lazily
 
     return RunResult(
         config=config,
         system_name=payload.get("system", system_name),
-        series=[_parse_series(rec) for rec in payload["series"]],
+        series=_payload_series(payload),
     )
 
 
@@ -322,9 +322,9 @@ def store_run(cache_dir, backend, result) -> Optional[Path]:
     key = sweep_cache_key(result.config, result.system_name, backend)
     if key is None:
         return None
-    path = _entry_path(cache_dir, key)
+    path = entry_path(cache_dir, key)
     with _cache_lock(path.parent):
-        write_envelope(path, run_payload(result), version=CACHE_VERSION)
+        write_envelope(path, "cache", run_payload(result))
     _bump_stat(cache_dir, "stores")
     return path
 
@@ -356,9 +356,9 @@ def load_cached_run(
 
 
 def _load_entry(cache_dir, key: str, config: RunConfig, system_name):
-    path = _entry_path(cache_dir, key)
+    path = entry_path(cache_dir, key)
     try:
-        payload = open_envelope(path.read_bytes(), CACHE_VERSION)
+        payload = open_envelope(path.read_bytes(), "cache")
     except OSError:
         return None  # absent (or racing eviction): a plain miss
     except EnvelopeError as exc:
@@ -402,15 +402,16 @@ def find_stale_series(
     cache_dir = Path(cache_dir)
     if not cache_dir.is_dir():
         return None
-    best = None  # ((|Δiterations|, iterations, entry name), series record)
+    # ((|Δiterations|, iterations, entry name), payload, series index)
+    best = None
     for path in sorted(cache_dir.glob("*.json")):
         try:
-            payload = open_envelope(path.read_bytes(), CACHE_VERSION)
+            payload = open_envelope(path.read_bytes(), "cache")
         except (OSError, EnvelopeError):
             continue
         if payload.get("system") != system_name:
             continue
-        for rec in payload.get("series", ()):
+        for index, rec in enumerate(payload.get("series", ())):
             try:
                 matches = (
                     rec["kernel"] == kernel.value
@@ -424,12 +425,12 @@ def find_stale_series(
                 continue
             rank = (abs(rec_iterations - iterations), rec_iterations, path.name)
             if best is None or rank < best[0]:
-                best = (rank, rec)
+                best = (rank, payload, index)
     if best is None:
         return None
-    rec = best[1]
+    (_, matched_iterations, _), payload, index = best
     try:
-        return _parse_series(rec), int(rec["iterations"])
+        return _payload_series(payload)[index], matched_iterations
     except (KeyError, TypeError, ValueError):
         return None
 

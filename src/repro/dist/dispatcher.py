@@ -53,6 +53,7 @@ from .heartbeat import HeartbeatMonitor
 from .ledger import LEDGER_FILENAME, DispatchLedger
 from .worker import (
     SubprocessWorker,
+    _shard_path,
     execute_scenario,
     load_result_shard,
     scenario_fingerprint,
@@ -210,7 +211,7 @@ def run_campaign_distributed(
         # campaign's stale shards so every scenario truly re-runs
         ledger_path.replace(ledger_path.with_name(ledger_path.name + ".old"))
         for fp in order:
-            shard = results_dir / f"{fp}.json"
+            shard = _shard_path(results_dir, fp)
             if shard.exists():
                 shard.unlink()
 

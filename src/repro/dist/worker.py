@@ -17,10 +17,10 @@ file, and reports back.  Two flavors share the protocol:
 
 Idempotent completion lives here: a result shard is keyed by the
 *scenario fingerprint* (:func:`scenario_fingerprint`) and holds the
-canonical run payload the content-addressed sweep cache uses, sealed
-in the same envelope (:mod:`repro.journal`), so floats round-trip
-exactly and a shard computed by *any* worker (or any attempt) feeds
-the aggregated report byte-identically.  Duplicate
+run payload the content-addressed sweep cache uses (column arrays,
+floats as raw bits), sealed in the same envelope (:mod:`repro.journal`),
+so a shard computed by *any* worker (or any attempt) feeds the
+aggregated report byte-identically.  Duplicate
 finishes of a stolen scenario overwrite the shard with identical
 bytes; the ledger dedupes the bookkeeping.
 
@@ -45,16 +45,10 @@ from typing import Callable, List, Optional, Sequence
 
 from ..errors import ReproError
 from ..faults.checkpoint import config_fingerprint
-from ..journal import (
-    ENVELOPE_VERSIONS,
-    EnvelopeError,
-    open_envelope,
-    write_envelope,
-)
+from ..journal import EnvelopeError, open_envelope, write_envelope
 from ..types import Kernel, Precision, TransferType
 
 __all__ = [
-    "SHARD_VERSION",
     "SimulatedWorker",
     "SubprocessWorker",
     "default_worker_command",
@@ -65,10 +59,6 @@ __all__ = [
     "worker_main",
     "write_result_shard",
 ]
-
-#: Format version of result shard files.
-SHARD_VERSION = ENVELOPE_VERSIONS["shard"]
-
 
 # -- scenario wire format ---------------------------------------------
 
@@ -160,8 +150,7 @@ def write_result_shard(results_dir, fp: str, result) -> Path:
 
     path = _shard_path(results_dir, fp)
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_envelope(path, run_payload(result), version=SHARD_VERSION,
-                   fingerprint=fp)
+    write_envelope(path, "shard", run_payload(result), fingerprint=fp)
     return path
 
 
@@ -188,7 +177,7 @@ def load_result_shard(results_dir, fp: str, config,
 
     try:
         payload = open_envelope(_shard_path(results_dir, fp).read_bytes(),
-                                SHARD_VERSION, fingerprint=fp)
+                                "shard", fingerprint=fp)
         return parse_run_payload(payload, config, system_name)
     except (OSError, EnvelopeError, KeyError, TypeError, ValueError):
         return None

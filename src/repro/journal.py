@@ -18,6 +18,8 @@ accepts are exactly the records that survive repair.
 object: the envelope fields, a ``payload_sha256`` over the payload's
 canonical JSON, then the payload's own keys, written through a tmp
 file and a rename (:func:`write_envelope`, :func:`open_envelope`).
+Each family writes its newest version and still reads the older ones
+in :data:`ENVELOPE_VERSIONS`.
 """
 
 from __future__ import annotations
@@ -54,9 +56,12 @@ __all__ = [
 #: (Checkpoint v2 added the per-record ``cs`` checksum.)
 JOURNAL_VERSIONS = {None: 2, "serve-wal": 1, "dist-ledger": 1}
 
-#: Envelope family -> the format version this build writes and reads.
-#: (Cache v2 added ``payload_sha256``.)
-ENVELOPE_VERSIONS = {"cache": 2, "shard": 1}
+#: Envelope family -> the format versions this build reads, newest
+#: first; it writes the newest.  (Cache v2 added ``payload_sha256``;
+#: cache v3 and shard v2 carry each series as column arrays,
+#: :func:`repro.core.records.encode_series`, where cache v2 and shard v1
+#: held one JSON record per sample.)
+ENVELOPE_VERSIONS = {"cache": (3, 2), "shard": (2, 1)}
 
 #: How :func:`scan_lines` reports a line that does not verify.
 UNPARSEABLE = "unparseable JSON"
@@ -256,10 +261,12 @@ class EnvelopeError(ValueError):
         self.stale = stale
 
 
-def write_envelope(path: Path, payload: dict, **fields) -> None:
-    """Seal ``payload`` behind ``fields`` (``version`` first) and a
-    ``payload_sha256``, and write it through :func:`replace_file`."""
+def write_envelope(path: Path, family: str, payload: dict, **fields) -> None:
+    """Seal ``payload`` behind the ``family``'s newest ``version``,
+    ``fields`` and a ``payload_sha256``, and write it through
+    :func:`replace_file`."""
     entry = {
+        "version": ENVELOPE_VERSIONS[family][0],
         **fields,
         "payload_sha256": hashlib.sha256(_canonical(payload)).hexdigest(),
         **payload,
@@ -268,22 +275,23 @@ def write_envelope(path: Path, payload: dict, **fields) -> None:
                  + b"\n")
 
 
-def open_envelope(data: bytes, version: int, **fields) -> dict:
+def open_envelope(data: bytes, family: str, **fields) -> dict:
     """Verify one sealed envelope's bytes and return its payload.
 
     Raises :class:`EnvelopeError` when ``data`` is not a JSON object,
-    its ``version`` is not ``version`` (``stale``), an envelope field
-    differs from ``fields`` (a shard's ``fingerprint``), or the payload
-    fails its ``payload_sha256``.
+    its ``version`` is not one the ``family`` reads (``stale``), an
+    envelope field differs from ``fields`` (a shard's ``fingerprint``),
+    or the payload fails its ``payload_sha256``.
     """
     try:
         entry = json.loads(data)
     except ValueError:
         raise EnvelopeError(UNPARSEABLE) from None
-    if not isinstance(entry, dict) or entry.get("version") != version:
+    versions = ENVELOPE_VERSIONS[family]
+    if not isinstance(entry, dict) or entry.get("version") not in versions:
         raise EnvelopeError(
-            "stale or missing format version (this build writes "
-            f"{version})",
+            "stale or missing format version (this build reads "
+            f"{', '.join(map(str, versions))})",
             stale=True,
         )
     for name, want in fields.items():

@@ -65,6 +65,7 @@ from ..core.runner import RetryPolicy, run_sweep
 from ..core.sweepcache import (
     SingleFlight,
     cache_stats,
+    entry_path,
     find_stale_series,
     sweep_cache_key,
 )
@@ -575,7 +576,7 @@ class ThresholdService:
         warm request never touches the backend."""
         if not isinstance(cache_key, str):
             return False
-        return (Path(self.config.cache_dir) / f"{cache_key}.json").is_file()
+        return entry_path(self.config.cache_dir, cache_key).is_file()
 
     def _chaos_fires(self, kind: ServeChaosKind, cache_key, attempt) -> bool:
         if self.chaos is None or attempt is None:

@@ -17,12 +17,21 @@ from ..errors import ConfigError
 __all__ = ["NO_NOISE", "DeterministicNoise", "NoiseModel"]
 
 
-@lru_cache(maxsize=1 << 17)
+@lru_cache(maxsize=1 << 14)
 def _crc_unit(seed: int, key: tuple) -> float:
     """Memoized CRC draw in [0, 1].  Pure in (seed, key), and sweep
     re-runs (warm caches, repeated bench rounds, resumed configs) ask
     for the same keys again — caching skips the repr+CRC round trip
-    without changing a single drawn value."""
+    without changing a single drawn value.
+
+    The bound is memory, not hit rate: a serving daemon lives long and
+    sweeps many cold keys, and at 2^17 entries its memo grew to about
+    43 MiB over 120 cold sweeps; 2^14 caps it near 8 MiB.  That still
+    holds a sweep's keys whole — a 2,052-cell serve query, the 8,208
+    of the sweep-throughput bench, the 6,240 of a DES smoke campaign —
+    so their re-runs stay memo-warm.  A full Table III-VI matrix
+    (about 1.3 x 10^5 distinct keys) no longer fits and redraws cold.
+    """
     return zlib.crc32(repr((seed,) + key).encode()) / 0xFFFFFFFF
 
 

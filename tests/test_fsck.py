@@ -8,6 +8,8 @@ of the way (never silently drop it) so a re-audit comes back clean.
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import repro.cli as cli
 from repro import AnalyticBackend, RunConfig, make_model, run_sweep
@@ -19,6 +21,8 @@ from repro.core.fsck import (
     fsck_results_csv,
 )
 from repro.types import Kernel, Precision
+
+FORMATS = Path(__file__).parent / "data" / "formats"
 
 CONFIG = RunConfig(
     max_dim=64, step=16, iterations=8,
@@ -137,6 +141,27 @@ def test_flipped_byte_in_cache_entry_is_detected_and_quarantined(tmp_path):
     assert findings[0].repaired
     assert not entry.exists()
     assert (tmp_path / "cache" / "quarantine" / entry.name).exists()
+
+
+def test_fsck_passes_every_cache_version_and_fails_a_base64_digit(tmp_path):
+    """A v2 entry an older build wrote and a v3 entry of this build both
+    audit clean; one flipped digit inside v3's base64 arrays, still
+    valid base64 and valid JSON, fails the digest and exits 4."""
+    _artifacts(tmp_path, cache=True)
+    cache = tmp_path / "cache"
+    (v3,) = cache.glob("*.json")
+    (v2,) = (FORMATS / "cache").glob("*.json")
+    shutil.copyfile(v2, cache / v2.name)
+    assert json.loads(v3.read_text())["version"] == 3
+    assert cli.main(["fsck", str(cache)]) == 0
+    blob = v3.read_bytes()
+    start = blob.index(b'"data":"') + len(b'"data":"')
+    digit = next(i for i in range(start, len(blob)) if blob[i:i + 1].isdigit())
+    v3.write_bytes(blob[:digit] + bytes([blob[digit] ^ 0x01])
+                   + blob[digit + 1:])
+    assert cli.main(["fsck", str(cache)]) == 4
+    (finding,) = fsck_paths([cache])
+    assert finding.path == v3 and "sha256" in finding.problem
 
 
 # -- results CSVs -----------------------------------------------------

@@ -6,7 +6,9 @@ hand-built samples (no model in the loop, so a recalibration cannot
 move them).  The writers must keep producing them byte for byte, and
 the readers must keep loading them: a checkpoint, WAL, ledger, cache
 entry or result shard written by an older build has to resume under a
-newer one.
+newer one.  ``cache/`` and ``shards/`` hold the per-sample JSON
+envelopes (cache v2, shard v1) that older builds wrote; ``cache-v3/``
+and ``shards-v2/`` hold the column-array envelopes this build writes.
 """
 
 from __future__ import annotations
@@ -166,14 +168,14 @@ def test_journal_bytes_are_pinned(tmp_path, name):
 
 def test_cache_entry_bytes_are_pinned(tmp_path):
     path = write_cache_entry(tmp_path / "cache")
-    (golden,) = (DATA / "cache").glob("*.json")
+    (golden,) = (DATA / "cache-v3").glob("*.json")
     assert path.name == golden.name
     assert path.read_bytes() == golden.read_bytes()
 
 
 def test_result_shard_bytes_are_pinned(tmp_path):
     path = write_shard(tmp_path)
-    golden = DATA / "shards" / f"{SHARD_FP}.json"
+    golden = DATA / "shards-v2" / f"{SHARD_FP}.json"
     assert path.name == golden.name
     assert path.read_bytes() == golden.read_bytes()
 
@@ -248,3 +250,17 @@ def test_pinned_result_shard_loads():
     result = load_result_shard(DATA / "shards", SHARD_FP, CONFIG, SYSTEM)
     assert result is not None
     assert result.series == _result().series
+
+
+def test_pinned_column_envelopes_load(tmp_path):
+    """The cache v3 and shard v2 pins load as well, so they keep
+    loading once a later build writes another version."""
+    (golden,) = (DATA / "cache-v3").glob("*.json")
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    shutil.copyfile(golden, cache_dir / golden.name)
+    cached = load_cached_run(cache_dir, CONFIG, SYSTEM, TokenBackend())
+    shard = load_result_shard(DATA / "shards-v2", SHARD_FP, CONFIG, SYSTEM)
+    for result in (cached, shard):
+        assert result is not None
+        assert result.series == _result().series

@@ -2,7 +2,7 @@
 
 The cache key is the checkpoint config fingerprint plus the backend's
 ``cache_token``; a hit must reproduce the stored run exactly (floats
-round-trip through JSON), a changed model or config must miss, and
+are stored as raw bits), a changed model or config must miss, and
 anything fault-touched or incomplete must never be stored.
 """
 
