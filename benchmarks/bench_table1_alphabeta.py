@@ -55,8 +55,8 @@ def _model_rows() -> list[tuple[str, dict[str, float]]]:
         times = {}
         for case, alpha, beta in CASES:
             if isinstance(model, GpuModel):
-                t = model.noisy_kernel_time(
-                    dims, Precision.SINGLE, ITERATIONS, alpha=alpha, beta=beta
+                t = ITERATIONS * model.kernel_time(
+                    dims, Precision.SINGLE, alpha=alpha, beta=beta
                 )
             else:
                 t = model.time(

@@ -53,12 +53,12 @@ class AnalyticBackend(Backend):
             DeviceKind.GPU, transfer, dims, iterations, seconds,
             checksum_ok=True, beta=beta)
 
-    # -- vectorized fast path -----------------------------------------
+    # -- batch path -----------------------------------------------------
     #
-    # One closed-form evaluation over a whole same-kernel batch of
-    # dims.  Each returned sample is bit-identical to what the scalar
-    # method produces for that cell, so the runner can switch paths
-    # freely without perturbing goldens.
+    # One closed-form evaluation over a whole same-kernel batch of dims.
+    # The per-cell samplers above price a batch of one through the same
+    # forms, so each sample here equals the per-cell one bit for bit and
+    # the runner can switch paths freely without perturbing goldens.
 
     def cpu_sample_batch(
         self, kernel, dims_list: Sequence[Dims], precision, iterations,
@@ -93,12 +93,9 @@ def _build_samples(
     the float64 division matches the scalar arithmetic bit-for-bit)."""
     import numpy as np
 
-    from ..core.flops import flops_for_batch
+    from ..core.flops import dims_columns, flops_for_batch
 
-    count = len(dims_list)
-    m = np.fromiter((d.m for d in dims_list), dtype=np.int64, count=count)
-    n = np.fromiter((d.n for d in dims_list), dtype=np.int64, count=count)
-    k = np.fromiter((d.k for d in dims_list), dtype=np.int64, count=count)
+    m, n, k = dims_columns(dims_list)
     flops = flops_for_batch(kernel, m, n, k, beta)
     with np.errstate(divide="ignore"):
         gflops = np.where(

@@ -6,23 +6,18 @@ The byte helpers model GPU-BLOB's transfer set: all operands travel
 host-to-device (A, B and C — the benchmark uploads the output buffer
 too), only the output travels back.
 
-Two call forms exist for every helper:
-
-* the scalar form takes one :class:`~repro.types.Dims` and returns an
-  ``int`` — memoized with ``functools.lru_cache``, since a sweep asks
-  for the same (dims, precision, beta) triple once per device and per
-  transfer paradigm;
-* the ``*_batch`` form takes NumPy integer arrays of dimensions (one
-  uniform kernel per batch) and returns an ``int64`` array in one shot —
-  the building block of the vectorized analytic fast path.  All swept
-  dimensions stay far below 2**53, so the batch arithmetic converts to
-  float exactly where the scalar path does and the two forms agree to
-  the bit.
+Each count has one form, the ``*_batch`` function of a kernel and its
+``m``, ``n``, ``k`` extents.  It is plain integer arithmetic, so it
+takes NumPy ``int64`` columns (one same-kernel batch of a sweep) and
+Python ints alike: the scalar helpers pass one
+:class:`~repro.types.Dims`' ints through it and return an exact
+``int``.  All swept dimensions stay far below 2**53, so a count
+converts to float exactly wherever it is divided.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +27,7 @@ __all__ = [
     "arithmetic_intensity",
     "d2h_bytes",
     "d2h_bytes_batch",
+    "dims_columns",
     "flops_for",
     "flops_for_batch",
     "h2d_bytes",
@@ -41,18 +37,10 @@ __all__ = [
     "naive_flops",
 ]
 
-#: Bound on the memoized helpers; large enough for several full-range
-#: paper sweeps (4096 sizes x 14 problem types x precisions).
-_CACHE_SIZE = 1 << 17
 
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def flops_for(dims: Dims, beta: float = 0.0) -> int:
     """Exact flop count of one kernel invocation."""
-    q = 1 if beta != 0.0 else 0
-    if dims.is_gemm:
-        return 2 * dims.m * dims.n * dims.k + dims.m * dims.n + q * dims.m * dims.n
-    return 2 * dims.m * dims.n + dims.m + q * dims.m
+    return flops_for_batch(dims.kernel, dims.m, dims.n, dims.k, beta)
 
 
 def naive_flops(dims: Dims) -> int:
@@ -62,35 +50,21 @@ def naive_flops(dims: Dims) -> int:
     return 2 * dims.m * dims.n
 
 
-def _elements(dims: Dims) -> tuple:
-    """(input elements, output elements) touched by one invocation."""
-    if dims.is_gemm:
-        return (dims.m * dims.k + dims.k * dims.n, dims.m * dims.n)
-    return (dims.m * dims.n + dims.n, dims.m)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def h2d_bytes(dims: Dims, precision: Precision) -> int:
     """Bytes uploaded before the first iteration (A, B and C/x and y)."""
-    inputs, outputs = _elements(dims)
-    return (inputs + outputs) * precision.itemsize
+    return h2d_bytes_batch(dims.kernel, dims.m, dims.n, dims.k, precision)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def d2h_bytes(dims: Dims, precision: Precision) -> int:
     """Bytes downloaded after the last iteration (the output only)."""
-    _, outputs = _elements(dims)
-    return outputs * precision.itemsize
+    return d2h_bytes_batch(dims.kernel, dims.m, dims.n, dims.k, precision)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def kernel_bytes(dims: Dims, precision: Precision, beta: float = 0.0) -> int:
     """Memory traffic of one invocation assuming perfect operand reuse
     (reads of A and B/x, a write of the output, plus a read of the
     output when ``beta != 0``)."""
-    inputs, outputs = _elements(dims)
-    q = 1 if beta != 0.0 else 0
-    return (inputs + outputs + q * outputs) * precision.itemsize
+    return kernel_bytes_batch(dims.kernel, dims.m, dims.n, dims.k, precision, beta)
 
 
 def arithmetic_intensity(dims: Dims, precision: Precision, beta: float = 0.0) -> float:
@@ -99,7 +73,16 @@ def arithmetic_intensity(dims: Dims, precision: Precision, beta: float = 0.0) ->
     return flops_for(dims, beta) / kernel_bytes(dims, precision, beta)
 
 
-# -- vectorized forms -------------------------------------------------
+# -- the one form of each count, over int64 columns or Python ints ----
+
+def dims_columns(dims_list: Sequence[Dims]) -> tuple:
+    """The ``m``, ``n``, ``k`` int64 columns of a batch of dims."""
+    count = len(dims_list)
+    m = np.fromiter((d.m for d in dims_list), dtype=np.int64, count=count)
+    n = np.fromiter((d.n for d in dims_list), dtype=np.int64, count=count)
+    k = np.fromiter((d.k for d in dims_list), dtype=np.int64, count=count)
+    return m, n, k
+
 
 def flops_for_batch(
     kernel: Kernel, m: np.ndarray, n: np.ndarray, k: np.ndarray,
@@ -112,9 +95,10 @@ def flops_for_batch(
     return 2 * m * n + m + q * m
 
 
-def _elements_batch(
+def _elements(
     kernel: Kernel, m: np.ndarray, n: np.ndarray, k: np.ndarray
 ) -> tuple:
+    """(input elements, output elements) touched by one invocation."""
     if kernel is Kernel.GEMM:
         return (m * k + k * n, m * n)
     return (m * n + n, m)
@@ -124,7 +108,7 @@ def h2d_bytes_batch(
     kernel: Kernel, m: np.ndarray, n: np.ndarray, k: np.ndarray,
     precision: Precision,
 ) -> np.ndarray:
-    inputs, outputs = _elements_batch(kernel, m, n, k)
+    inputs, outputs = _elements(kernel, m, n, k)
     return (inputs + outputs) * precision.itemsize
 
 
@@ -132,7 +116,7 @@ def d2h_bytes_batch(
     kernel: Kernel, m: np.ndarray, n: np.ndarray, k: np.ndarray,
     precision: Precision,
 ) -> np.ndarray:
-    _, outputs = _elements_batch(kernel, m, n, k)
+    _, outputs = _elements(kernel, m, n, k)
     return outputs * precision.itemsize
 
 
@@ -140,6 +124,6 @@ def kernel_bytes_batch(
     kernel: Kernel, m: np.ndarray, n: np.ndarray, k: np.ndarray,
     precision: Precision, beta: float = 0.0,
 ) -> np.ndarray:
-    inputs, outputs = _elements_batch(kernel, m, n, k)
+    inputs, outputs = _elements(kernel, m, n, k)
     q = 1 if beta != 0.0 else 0
     return (inputs + outputs + q * outputs) * precision.itemsize

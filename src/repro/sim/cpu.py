@@ -22,11 +22,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..blas.registry import CpuLibraryModel
-from ..core.flops import flops_for, flops_for_batch, kernel_bytes, kernel_bytes_batch
+from ..core.flops import dims_columns, flops_for_batch, kernel_bytes_batch
 from ..systems.specs import CpuSocketSpec
 from ..types import Dims, Kernel, Precision
 from .noise import NO_NOISE, NoiseModel
-from .quirks import quirk_factor, quirk_factor_batch
+from .quirks import quirk_factor_batch
 
 __all__ = ["CpuModel"]
 
@@ -46,39 +46,8 @@ class CpuModel:
 
     # -- threading ----------------------------------------------------
     def engaged_threads(self, flops: float) -> int:
-        lib = self.library
-        if lib.threading == "always-max":
-            return self.max_threads
-        return max(1, min(self.max_threads, int(-(-flops // lib.grain_flops))))
-
-    def _parallel_eff(self, flops: float, threads: int) -> float:
-        lib = self.library
-        if threads <= 1:
-            return 1.0
-        ramp = lib.ramp_flops * (threads - 1) / max(1, self.max_threads - 1)
-        ptw = flops / threads
-        # The efficiency floor is a *single-core* small-call throughput:
-        # the absolute floor rate must not grow with the team width, so
-        # the per-thread floor shrinks as threads are added.
-        floor = min(1.0, lib.eff_floor * self.spec.cores / threads)
-        return max(floor, ptw / (ptw + ramp))
-
-    def _shape_eff(self, dims: Dims) -> float:
-        lib = self.library
-        out = min(dims.m, dims.n)
-        eff = out / (out + lib.out_half)
-        if dims.is_gemm:
-            eff *= dims.k / (dims.k + lib.k_half)
-            # A reduction dimension far longer than the output tile keeps
-            # re-streaming operand panels through cache; square shapes
-            # (aspect == 1) are unaffected.
-            aspect = dims.k / out
-            if aspect > 1.0:
-                eff *= lib.k_aspect_half / (lib.k_aspect_half + aspect - 1.0)
-        # When several extents are tiny the two saturating factors stack
-        # multiplicatively, but a real library degenerates to a streaming
-        # kernel — bound the penalty from below.
-        return max(eff, lib.shape_floor)
+        """Threads the library engages for one call of ``flops`` flops."""
+        return int(self._engaged_threads_batch(np.array([flops]))[0])
 
     def _peak_gflops(self, precision: Precision) -> float:
         peak = self.spec.peak_gflops(precision.itemsize)
@@ -87,71 +56,6 @@ class CpuModel:
         if engine is not None:
             peak *= engine.speedup_for(precision.value)
         return peak
-
-    # -- GEMM ---------------------------------------------------------
-    def _gemm_call(
-        self,
-        dims: Dims,
-        precision: Precision,
-        warm: bool,
-        alpha: float,
-        beta: float,
-    ) -> float:
-        lib = self.library
-        flops = flops_for(dims, beta)
-        threads = self.engaged_threads(flops)
-        rate = (
-            self._peak_gflops(precision)
-            * (threads / self.max_threads)
-            * self._parallel_eff(flops, threads)
-            * self._shape_eff(dims)
-            * lib.gemm_eff
-        ) * 1e9
-        compute = flops / rate
-        bytes_moved = kernel_bytes(dims, precision, beta)
-        if warm and self._fits_llc(bytes_moved):
-            compute /= self.spec.warm_compute_boost
-            memory = bytes_moved / (self.spec.cache_bw_gbs * 1e9)
-        else:
-            memory = bytes_moved / (self.spec.mem_bw_gbs * 1e9)
-        return lib.overhead_s + lib.sync_per_thread_s * threads + max(compute, memory)
-
-    # -- GEMV ---------------------------------------------------------
-    def _fits_llc(self, bytes_moved: float) -> bool:
-        return bytes_moved <= self.spec.llc_bytes
-
-    def _gemv_call(self, dims: Dims, precision: Precision, warm: bool) -> float:
-        lib = self.library
-        spec = self.spec
-        bytes_moved = kernel_bytes(dims, precision)
-        if not lib.gemv_parallel:
-            threads = 1
-        elif lib.gemv_grain_rows is not None:
-            # Partition along the longest matrix extent (rows when tall,
-            # columns when wide): skinny shapes still engage many threads.
-            extent = max(dims.m, dims.n)
-            threads = max(
-                1,
-                min(self.max_threads, int(-(-extent // lib.gemv_grain_rows))),
-            )
-        else:
-            threads = max(
-                1,
-                min(self.max_threads, int(-(-bytes_moved // lib.gemv_grain_bytes))),
-            )
-        if warm:
-            engaged = self.max_threads if lib.gemv_parallel else 1
-            bw = min(spec.cache_bw_gbs, engaged * spec.single_core_cache_bw_gbs)
-            if not self._fits_llc(bytes_moved):
-                bw = min(spec.mem_bw_gbs, engaged * spec.single_core_mem_bw_gbs)
-        else:
-            bw = min(spec.mem_bw_gbs, threads * spec.single_core_mem_bw_gbs)
-        t = lib.gemv_overhead_s + bytes_moved / (bw * 1e9)
-        if lib.gemv_fanout:
-            t += lib.sync_per_thread_s * self.max_threads
-        else:
-            t += lib.sync_per_thread_s * threads
-        return t
 
     # -- public API ---------------------------------------------------
     def time(
@@ -163,37 +67,9 @@ class CpuModel:
         beta: float = 0.0,
     ) -> float:
         """Total seconds for ``iterations`` back-to-back library calls."""
-        if dims.kernel is Kernel.GEMM:
-            first = self._gemm_call(dims, precision, False, alpha, beta)
-            rest = (
-                self._gemm_call(dims, precision, True, alpha, beta)
-                if iterations > 1
-                else 0.0
-            )
-        else:
-            first = self._gemv_call(dims, precision, False)
-            rest = self._gemv_call(dims, precision, True) if iterations > 1 else 0.0
-        total = first + (iterations - 1) * rest
-        total *= quirk_factor(self.library.quirks, dims.kernel, dims, precision)
-        total *= self.noise.factor(("cpu", self.library.name, dims.as_tuple(),
-                                    precision.value, iterations))
-        return total
+        return float(self.time_batch((dims,), precision, iterations, alpha, beta)[0])
 
-    def gflops(
-        self,
-        dims: Dims,
-        precision: Precision,
-        iterations: int = 1,
-        beta: float = 0.0,
-    ) -> float:
-        t = self.time(dims, precision, iterations, beta=beta)
-        return iterations * flops_for(dims, beta) / t / 1e9
-
-    # -- vectorized fast path -----------------------------------------
-    #
-    # Every ``*_batch`` method mirrors its scalar twin expression-for-
-    # expression (same operations, same association) so the two agree to
-    # the bit; the batch==scalar hypothesis test pins this.
+    # -- the closed forms, over same-kernel columns of dims -------------
 
     def _engaged_threads_batch(self, flops: np.ndarray) -> np.ndarray:
         lib = self.library
@@ -208,6 +84,9 @@ class CpuModel:
         lib = self.library
         ramp = lib.ramp_flops * (threads - 1) / max(1, self.max_threads - 1)
         ptw = flops / threads
+        # The efficiency floor is a *single-core* small-call throughput:
+        # the absolute floor rate must not grow with the team width, so
+        # the per-thread floor shrinks as threads are added.
         floor = np.minimum(1.0, lib.eff_floor * self.spec.cores / threads)
         eff = np.maximum(floor, ptw / (ptw + ramp))
         return np.where(threads <= 1, 1.0, eff)
@@ -220,11 +99,17 @@ class CpuModel:
         eff = out / (out + lib.out_half)
         if kernel is Kernel.GEMM:
             eff = eff * (k / (k + lib.k_half))
+            # A reduction dimension far longer than the output tile keeps
+            # re-streaming operand panels through cache; square shapes
+            # (aspect == 1) are unaffected.
             aspect = k / out
             narrowed = eff * (
                 lib.k_aspect_half / (lib.k_aspect_half + aspect - 1.0)
             )
             eff = np.where(aspect > 1.0, narrowed, eff)
+        # When several extents are tiny the two saturating factors stack
+        # multiplicatively, but a real library degenerates to a streaming
+        # kernel — bound the penalty from below.
         return np.maximum(eff, lib.shape_floor)
 
     def _gemm_call_batch(
@@ -272,6 +157,8 @@ class CpuModel:
         if not lib.gemv_parallel:
             threads = np.ones(len(m), dtype=np.int64)
         elif lib.gemv_grain_rows is not None:
+            # Partition along the longest matrix extent (rows when tall,
+            # columns when wide): skinny shapes still engage many threads.
             extent = np.maximum(m, n)
             raw = (-((-extent) // lib.gemv_grain_rows)).astype(np.int64)
             threads = np.maximum(1, np.minimum(self.max_threads, raw))
@@ -302,18 +189,12 @@ class CpuModel:
         alpha: float = 1.0,
         beta: float = 0.0,
     ) -> np.ndarray:
-        """Vectorized :meth:`time` over a same-kernel batch of problems.
-
-        Returns one total-seconds value per entry of ``dims_list``, each
-        bit-identical to the scalar path's answer for that entry.
-        """
+        """Total seconds of :meth:`time`, one per entry of a same-kernel
+        ``dims_list``."""
         if not len(dims_list):
             return np.zeros(0)
         kernel = dims_list[0].kernel
-        count = len(dims_list)
-        m = np.fromiter((d.m for d in dims_list), dtype=np.int64, count=count)
-        n = np.fromiter((d.n for d in dims_list), dtype=np.int64, count=count)
-        k = np.fromiter((d.k for d in dims_list), dtype=np.int64, count=count)
+        m, n, k = dims_columns(dims_list)
         if kernel is Kernel.GEMM:
             first = self._gemm_call_batch(m, n, k, precision, False, alpha, beta)
             rest = (

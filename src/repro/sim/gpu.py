@@ -15,11 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..blas.registry import GpuLibraryModel
-from ..core.flops import flops_for, flops_for_batch, kernel_bytes, kernel_bytes_batch
+from ..core.flops import dims_columns, flops_for_batch, kernel_bytes_batch
 from ..systems.specs import GpuSpec
 from ..types import Dims, Kernel, Precision
-from .noise import NO_NOISE, NoiseModel
-from .quirks import quirk_factor, quirk_factor_batch
+from .quirks import quirk_factor_batch
 
 __all__ = ["GpuModel"]
 
@@ -29,25 +28,9 @@ _BETA_READ_EXPOSED = 0.7
 
 
 class GpuModel:
-    def __init__(
-        self,
-        spec: GpuSpec,
-        library: GpuLibraryModel,
-        noise: NoiseModel = NO_NOISE,
-    ) -> None:
+    def __init__(self, spec: GpuSpec, library: GpuLibraryModel) -> None:
         self.spec = spec
         self.library = library
-        self.noise = noise
-
-    def occupancy(self, flops: float) -> float:
-        return flops / (flops + self.library.occ_ramp_flops)
-
-    def _bandwidth_gbs(self, dims: Dims) -> float:
-        bw = self.spec.mem_bw_gbs * self.library.hbm_eff
-        if dims.kernel is Kernel.GEMV:
-            row_eff = dims.m / (dims.m + self.library.gemv_row_half)
-            bw = self.spec.mem_bw_gbs * self.library.gemv_bw_eff * row_eff
-        return bw
 
     def kernel_time(
         self,
@@ -57,25 +40,10 @@ class GpuModel:
         beta: float = 0.0,
     ) -> float:
         """One kernel execution, launch included (no data movement)."""
-        flops = flops_for(dims, beta)
-        peak = self.spec.peak_gflops(precision.value) * 1e9
-        compute = flops / (peak * self.occupancy(flops))
-        # The beta != 0 read of C streams alongside the operand reads and
-        # is partially hidden — measured beta-update slowdowns top out
-        # around 1.7x, not the 2x a pure traffic count would predict.
-        base_bytes = kernel_bytes(dims, precision)
-        beta_bytes = kernel_bytes(dims, precision, beta) - base_bytes
-        memory = (base_bytes + _BETA_READ_EXPOSED * beta_bytes) / (
-            self._bandwidth_gbs(dims) * 1e9
+        m, n, k = dims_columns((dims,))
+        return float(
+            self.kernel_time_batch(dims.kernel, m, n, k, precision, alpha, beta)[0]
         )
-        launch = (
-            self.library.gemv_launch_s
-            if dims.kernel is Kernel.GEMV
-            else self.library.launch_s
-        )
-        t = launch + max(compute, memory)
-        t *= quirk_factor(self.library.quirks, dims.kernel, dims, precision)
-        return t
 
     def kernel_time_batch(
         self,
@@ -87,12 +55,15 @@ class GpuModel:
         alpha: float = 1.0,
         beta: float = 0.0,
     ) -> np.ndarray:
-        """Vectorized :meth:`kernel_time` over a same-kernel batch,
-        bit-identical to the scalar path entry by entry."""
+        """Seconds of :meth:`kernel_time`, one per entry of the
+        same-kernel ``m``, ``n``, ``k`` columns."""
         flops = flops_for_batch(kernel, m, n, k, beta)
         peak = self.spec.peak_gflops(precision.value) * 1e9
         occupancy = flops / (flops + self.library.occ_ramp_flops)
         compute = flops / (peak * occupancy)
+        # The beta != 0 read of C streams alongside the operand reads and
+        # is partially hidden — measured beta-update slowdowns top out
+        # around 1.7x, not the 2x a pure traffic count would predict.
         base_bytes = kernel_bytes_batch(kernel, m, n, k, precision)
         beta_bytes = kernel_bytes_batch(kernel, m, n, k, precision, beta) - base_bytes
         if kernel is Kernel.GEMV:
@@ -105,18 +76,4 @@ class GpuModel:
         memory = (base_bytes + _BETA_READ_EXPOSED * beta_bytes) / (bw * 1e9)
         t = launch + np.maximum(compute, memory)
         t = t * quirk_factor_batch(self.library.quirks, kernel, m, n, k, precision)
-        return t
-
-    def noisy_kernel_time(
-        self,
-        dims: Dims,
-        precision: Precision,
-        iterations: int = 1,
-        alpha: float = 1.0,
-        beta: float = 0.0,
-    ) -> float:
-        """Total kernel-only seconds for ``iterations`` launches."""
-        t = iterations * self.kernel_time(dims, precision, alpha, beta)
-        t *= self.noise.factor(("gpu", self.library.name, dims.as_tuple(),
-                                precision.value, iterations))
         return t

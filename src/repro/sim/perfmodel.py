@@ -23,6 +23,7 @@ from ..blas.registry import CpuLibraryModel, GpuLibraryModel, get_cpu_library, g
 from ..core.flops import (
     d2h_bytes,
     d2h_bytes_batch,
+    dims_columns,
     flops_for,
     h2d_bytes,
     h2d_bytes_batch,
@@ -54,7 +55,7 @@ class NodePerfModel:
         self.cpu = CpuModel(spec.cpu, cpu_lib, max_threads=threads, noise=noise)
         if spec.gpu is not None:
             gpu_lib = gpu_library or get_gpu_library(spec.gpu_library)
-            self.gpu = GpuModel(spec.gpu, gpu_lib, noise=NO_NOISE)
+            self.gpu = GpuModel(spec.gpu, gpu_lib)
         else:
             self.gpu = None
         self.noise = noise
@@ -83,52 +84,19 @@ class NodePerfModel:
     ) -> float:
         return self.gpu.kernel_time(dims, precision, alpha, beta)
 
-    def h2d_time(self, dims: Dims, precision: Precision) -> float:
+    def _link_time(self, nbytes):
+        """One explicit transfer of ``nbytes`` (an int or an array of
+        them): link latency plus a copy at the pinned link bandwidth."""
         link = self.spec.link
-        return link.latency_s + h2d_bytes(dims, precision) / (link.bw_gbs * 1e9)
+        return link.latency_s + nbytes / (link.bw_gbs * 1e9)
+
+    def h2d_time(self, dims: Dims, precision: Precision) -> float:
+        return self._link_time(h2d_bytes(dims, precision))
 
     def d2h_time(self, dims: Dims, precision: Precision) -> float:
-        link = self.spec.link
-        return link.latency_s + d2h_bytes(dims, precision) / (link.bw_gbs * 1e9)
+        return self._link_time(d2h_bytes(dims, precision))
 
     # -- paradigms ----------------------------------------------------
-    def _gpu_total(
-        self,
-        dims: Dims,
-        precision: Precision,
-        iterations: int,
-        transfer: TransferType,
-        alpha: float,
-        beta: float,
-    ) -> float:
-        link = self.spec.link
-        kern = self.gpu.kernel_time(dims, precision, alpha, beta)
-        up = h2d_bytes(dims, precision)
-        down = d2h_bytes(dims, precision)
-        if transfer is TransferType.ONCE:
-            total = (
-                self.h2d_time(dims, precision)
-                + iterations * kern
-                + self.d2h_time(dims, precision)
-            )
-        elif transfer is TransferType.ALWAYS:
-            staged_bw = link.bw_gbs * link.staging_bw_scale * 1e9
-            per_iter = (
-                2.0 * link.latency_s + (up + down) / staged_bw + kern
-            )
-            total = iterations * per_iter
-        else:  # UNIFIED
-            usm = self.spec.usm
-            migrate_bw = link.bw_gbs * usm.migration_bw_scale * 1e9
-            faults = up / (usm.pages_per_fault * usm.page_bytes)
-            migrate_in = link.latency_s + faults * usm.fault_latency_s + up / migrate_bw
-            per_iter = kern + usm.iter_fault_s + usm.iter_refresh_fraction * (
-                up / (link.bw_gbs * 1e9)
-            )
-            writeback = link.latency_s + down / migrate_bw
-            total = migrate_in + iterations * per_iter + writeback
-        return total
-
     def gpu_time(
         self,
         dims: Dims,
@@ -138,13 +106,10 @@ class NodePerfModel:
         alpha: float = 1.0,
         beta: float = 0.0,
     ) -> float:
-        total = self._gpu_total(dims, precision, iterations, transfer, alpha, beta)
-        total *= self.noise.factor(
-            ("gpu", transfer.value, dims.as_tuple(), precision.value, iterations)
-        )
-        return total
+        return float(self.gpu_time_batch(
+            (dims,), precision, iterations, transfer, alpha, beta)[0])
 
-    # -- vectorized fast path -----------------------------------------
+    # -- the closed forms, over same-kernel columns of dims -------------
     def cpu_time_batch(
         self,
         dims_list: Sequence[Dims],
@@ -153,8 +118,8 @@ class NodePerfModel:
         alpha: float = 1.0,
         beta: float = 0.0,
     ) -> np.ndarray:
-        """Vectorized :meth:`cpu_time` over a same-kernel batch of
-        problems; entry-by-entry bit-identical to the scalar path."""
+        """Seconds of :meth:`cpu_time`, one per entry of a same-kernel
+        ``dims_list``."""
         return self.cpu.time_batch(dims_list, precision, iterations, alpha, beta)
 
     def gpu_time_batch(
@@ -166,27 +131,18 @@ class NodePerfModel:
         alpha: float = 1.0,
         beta: float = 0.0,
     ) -> np.ndarray:
-        """Vectorized :meth:`gpu_time` over a same-kernel batch of
-        problems; entry-by-entry bit-identical to the scalar path."""
+        """Seconds of :meth:`gpu_time`, one per entry of a same-kernel
+        ``dims_list``."""
         if not len(dims_list):
             return np.zeros(0)
         kernel = dims_list[0].kernel
-        count = len(dims_list)
-        m = np.fromiter((d.m for d in dims_list), dtype=np.int64, count=count)
-        n = np.fromiter((d.n for d in dims_list), dtype=np.int64, count=count)
-        k = np.fromiter((d.k for d in dims_list), dtype=np.int64, count=count)
+        m, n, k = dims_columns(dims_list)
         link = self.spec.link
         kern = self.gpu.kernel_time_batch(kernel, m, n, k, precision, alpha, beta)
         up = h2d_bytes_batch(kernel, m, n, k, precision)
         down = d2h_bytes_batch(kernel, m, n, k, precision)
         if transfer is TransferType.ONCE:
-            h2d = link.latency_s + up / (link.bw_gbs * 1e9)
-            d2h = link.latency_s + down / (link.bw_gbs * 1e9)
-            total = (
-                h2d
-                + iterations * kern
-                + d2h
-            )
+            total = self._link_time(up) + iterations * kern + self._link_time(down)
         elif transfer is TransferType.ALWAYS:
             staged_bw = link.bw_gbs * link.staging_bw_scale * 1e9
             per_iter = (
@@ -208,14 +164,4 @@ class NodePerfModel:
         self, dims: Dims, precision: Precision, iterations: int = 1
     ) -> float:
         t = self.cpu_time(dims, precision, iterations)
-        return iterations * flops_for(dims) / t / 1e9
-
-    def gpu_gflops(
-        self,
-        dims: Dims,
-        precision: Precision,
-        iterations: int = 1,
-        transfer: TransferType = TransferType.ONCE,
-    ) -> float:
-        t = self.gpu_time(dims, precision, iterations, transfer)
         return iterations * flops_for(dims) / t / 1e9

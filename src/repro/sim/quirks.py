@@ -1,8 +1,9 @@
 """Named library quirks the paper calls out.
 
-Each quirk is a multiplicative *time* factor keyed by (kernel, dims,
-precision).  Library models carry a tuple of quirk names; the CPU/GPU
-models multiply the matching factors into every sample.
+Each quirk is a multiplicative *time* factor over a same-kernel column
+of problems: ``m``, ``n`` and ``k`` int64 arrays plus one precision.
+Library models carry a tuple of quirk names; the CPU/GPU models multiply
+the matching factors into every sample.
 
 * ``onemkl-sq629-cliff`` — oneMKL's square-GEMM performance collapses
   at {629, 629, 629} and recovers gradually by ~{1400} (Fig. 2); this
@@ -21,70 +22,13 @@ from typing import Callable, Dict
 
 import numpy as np
 
-from ..types import Dims, Kernel, Precision
+from ..types import Kernel, Precision
 
-__all__ = ["QUIRKS", "quirk_factor", "quirk_factor_batch"]
+__all__ = ["QUIRKS", "quirk_factor_batch"]
 
 _CLIFF_START = 629
 _CLIFF_DEPTH = 1.65  # time multiplier at the cliff edge is 1 + depth
 _CLIFF_RECOVER = 1400
-
-
-def _onemkl_sq629_cliff(kernel: Kernel, dims: Dims, precision: Precision) -> float:
-    if kernel is not Kernel.GEMM or dims.min_dim < _CLIFF_START:
-        return 1.0
-    span = _CLIFF_RECOVER - _CLIFF_START
-    frac = max(0.0, (_CLIFF_RECOVER - dims.min_dim) / span)
-    return 1.0 + _CLIFF_DEPTH * frac
-
-
-def _nvpl_gemv_flatten(kernel: Kernel, dims: Dims, precision: Precision) -> float:
-    if kernel is not Kernel.GEMV:
-        return 1.0
-    s = min(dims.m, dims.n)
-    if s < 195 or s >= 2048:
-        return 1.0
-    # Flat shoulder: strongest near 256, tapering away by 2048.
-    frac = max(0.0, (2048 - s) / (2048 - 192))
-    return 1.0 + 0.9 * frac
-
-
-def _rocblas_sgemm_k2560(kernel: Kernel, dims: Dims, precision: Precision) -> float:
-    if kernel is Kernel.GEMM and precision is Precision.SINGLE and dims.k >= 2560:
-        return 0.85
-    return 1.0
-
-
-def _implicit_scaling(kernel: Kernel, dims: Dims, precision: Precision) -> float:
-    if dims.max_dim < 512:
-        return 1.05
-    digest = zlib.crc32(repr(("implicit", dims.as_tuple())).encode())
-    unit = digest / 0xFFFFFFFF
-    return 1.40 + 0.55 * (2.0 * unit - 1.0)
-
-
-QUIRKS: Dict[str, Callable[[Kernel, Dims, Precision], float]] = {
-    "onemkl-sq629-cliff": _onemkl_sq629_cliff,
-    "nvpl-gemv-flatten": _nvpl_gemv_flatten,
-    "rocblas-sgemm-k2560": _rocblas_sgemm_k2560,
-    "implicit-scaling": _implicit_scaling,
-}
-
-
-def quirk_factor(names, kernel: Kernel, dims: Dims, precision: Precision) -> float:
-    factor = 1.0
-    for name in names:
-        factor *= QUIRKS[name](kernel, dims, precision)
-    return factor
-
-
-# -- vectorized forms -------------------------------------------------
-#
-# Each batch quirk mirrors its scalar twin expression-for-expression so
-# the two agree to the bit (asserted by the batch==scalar hypothesis
-# test).  Quirks without a vectorized form (the CRC-keyed implicit-
-# scaling jitter) fall back to a per-element loop over the scalar
-# function — still exact, just not array-fast.
 
 
 def _onemkl_sq629_cliff_batch(
@@ -106,6 +50,7 @@ def _nvpl_gemv_flatten_batch(
     if kernel is not Kernel.GEMV:
         return np.ones(len(m))
     s = np.minimum(m, n)
+    # Flat shoulder: strongest near 256, tapering away by 2048.
     frac = np.maximum(0.0, (2048 - s) / (2048 - 192))
     return np.where((s < 195) | (s >= 2048), 1.0, 1.0 + 0.9 * frac)
 
@@ -119,10 +64,32 @@ def _rocblas_sgemm_k2560_batch(
     return np.ones(len(m))
 
 
-_QUIRKS_BATCH: Dict[str, Callable] = {
+def _implicit_scaling_batch(
+    kernel: Kernel, m: np.ndarray, n: np.ndarray, k: np.ndarray,
+    precision: Precision,
+) -> np.ndarray:
+    # The jitter is keyed by the CRC of ``Dims.as_tuple()``: (m, n, k)
+    # for GEMM, (m, n) for GEMV, as Python ints.
+    columns = (m, n, k) if kernel is Kernel.GEMM else (m, n)
+    digests = np.fromiter(
+        (
+            zlib.crc32(repr(("implicit", shape)).encode())
+            for shape in zip(*(c.tolist() for c in columns))
+        ),
+        dtype=np.float64,
+        count=len(m),
+    )
+    unit = digests / 0xFFFFFFFF
+    jitter = 1.40 + 0.55 * (2.0 * unit - 1.0)
+    max_dim = np.maximum(np.maximum(m, n), k)
+    return np.where(max_dim < 512, 1.05, jitter)
+
+
+QUIRKS: Dict[str, Callable] = {
     "onemkl-sq629-cliff": _onemkl_sq629_cliff_batch,
     "nvpl-gemv-flatten": _nvpl_gemv_flatten_batch,
     "rocblas-sgemm-k2560": _rocblas_sgemm_k2560_batch,
+    "implicit-scaling": _implicit_scaling_batch,
 }
 
 
@@ -130,20 +97,8 @@ def quirk_factor_batch(
     names, kernel: Kernel, m: np.ndarray, n: np.ndarray, k: np.ndarray,
     precision: Precision,
 ) -> np.ndarray:
-    """Elementwise :func:`quirk_factor` over arrays of dimensions."""
+    """Product of the named quirks' factors, one per problem."""
     factor = np.ones(len(m))
     for name in names:
-        batch_fn = _QUIRKS_BATCH.get(name)
-        if batch_fn is not None:
-            factor = factor * batch_fn(kernel, m, n, k, precision)
-        else:
-            scalar_fn = QUIRKS[name]
-            factor = factor * np.array([
-                scalar_fn(
-                    kernel,
-                    Dims(int(mi), int(ni), int(ki)),
-                    precision,
-                )
-                for mi, ni, ki in zip(m, n, k)
-            ])
+        factor = factor * QUIRKS[name](kernel, m, n, k, precision)
     return factor

@@ -40,15 +40,13 @@ def closed_form_unified_batch(
     kernel_s,
     iterations: int,
 ):
-    """Vectorized closed-form Unified-Memory total (fractional pages).
+    """Closed-form Unified-Memory total (fractional pages).
 
     ``up_bytes``/``down_bytes``/``kernel_s`` are equal-length NumPy
-    arrays (one sweep cell each); the return value mirrors the UNIFIED
-    branch of :meth:`repro.sim.perfmodel.NodePerfModel.gpu_time`
-    expression-for-expression, so each entry is bit-identical to the
-    scalar closed form — the same total the fractional (``quantize=
-    False``) :class:`PageTable` accounting reproduces one phase at a
-    time.
+    arrays, one sweep cell each.  This is the UNIFIED branch of
+    :meth:`repro.sim.perfmodel.NodePerfModel.gpu_time`: the same total
+    the fractional (``quantize=False``) :class:`PageTable` accounting
+    reproduces one phase at a time.
     """
     migrate_bw = link.bw_gbs * usm.migration_bw_scale * 1e9
     faults = up_bytes / (usm.pages_per_fault * usm.page_bytes)

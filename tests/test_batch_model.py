@@ -1,13 +1,16 @@
-"""Vectorized analytic fast path: batch == scalar to float equality.
+"""Batch analytic path: each array value equals its per-element call.
 
-The batch entry points (``cpu_time_batch``/``gpu_time_batch`` on the
-model, ``*_sample_batch`` on the analytic backend) mirror the scalar
-reference expression-for-expression, so every batched value must equal
-the scalar one *bitwise* — not approximately.  Hypothesis drives random
-shapes, systems, iteration counts and paradigms at that exact bar.
+Every closed form has one array implementation; the scalar API
+(``cpu_time``/``gpu_time`` on the model, ``cpu_sample``/``gpu_sample``
+on the analytic backend) prices a batch of one through it.  So every
+value of a many-cell batch must equal the per-element scalar call
+*bitwise* — not approximately: no element may depend on its
+neighbours or on the batch length.  Hypothesis drives random shapes,
+systems, iteration counts and paradigms at that exact bar.
+``tests/test_model_pins.py`` pins the values themselves.
 
-Also pins the memoization satellites: cached flop/byte/jitter/noise
-draws must equal their uncached computations.
+Also pins the memoization satellites: cached jitter/noise draws must
+equal their uncached computations.
 """
 
 from __future__ import annotations
@@ -19,17 +22,11 @@ from hypothesis import strategies as st
 
 from repro import AnalyticBackend, make_model, run_sweep
 from repro.core.config import RunConfig
-from repro.core.flops import (
-    d2h_bytes,
-    flops_for,
-    h2d_bytes,
-    kernel_bytes,
-)
 from repro.core.runner import RetryPolicy, _backoff_unit
 from repro.faults.plan import _unit
 from repro.sim.noise import DeterministicNoise, _crc_unit
 from repro.systems.catalog import system_names
-from repro.types import ALL_PRECISIONS, Dims, Kernel, Precision, TransferType
+from repro.types import ALL_PRECISIONS, Dims, TransferType
 
 MODELS = {name: make_model(name) for name in system_names()}
 
@@ -141,22 +138,6 @@ def test_vectorized_sweep_equals_scalar_reference_sweep():
 
 
 # -- memoization satellites -------------------------------------------
-
-
-def test_flops_and_bytes_caches_match_uncached():
-    for dims in (Dims(7, 9, 11), Dims(629, 629, 629), Dims(33, 47)):
-        for beta in (0.0, 1.0):
-            assert flops_for(dims, beta) == flops_for.__wrapped__(dims, beta)
-        for precision in (Precision.SINGLE, Precision.DOUBLE):
-            assert h2d_bytes(dims, precision) == h2d_bytes.__wrapped__(
-                dims, precision
-            )
-            assert d2h_bytes(dims, precision) == d2h_bytes.__wrapped__(
-                dims, precision
-            )
-            assert kernel_bytes(dims, precision) == kernel_bytes.__wrapped__(
-                dims, precision
-            )
 
 
 def test_backoff_jitter_cache_matches_direct_draw():
