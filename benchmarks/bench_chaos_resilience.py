@@ -18,10 +18,11 @@ from pathlib import Path
 
 from harness import run_once, write_csv_rows, write_text
 from repro.backends.simulated import AnalyticBackend
+from repro.chaos import ChaosKind, ChaosPlan
 from repro.core.config import RunConfig
 from repro.core.runner import RetryPolicy, run_sweep
 from repro.errors import PartialSweepWarning
-from repro.faults import FaultInjector, FaultKind, FaultPlan
+from repro.faults import FaultInjector
 from repro.systems.catalog import make_model
 from repro.types import Precision
 
@@ -30,10 +31,10 @@ CFG = RunConfig(min_dim=1, max_dim=2048, iterations=8, step=16,
                 problem_idents=("square",))
 # Raising faults plus hangs; no ECC, so kept samples keep exact timings
 # and surviving thresholds are comparable against the clean sweep.
-PLAN = FaultPlan(seed=2024, rates={
-    FaultKind.KERNEL: 0.25,
-    FaultKind.TRANSFER: 0.25,
-    FaultKind.HANG: 0.25,
+PLAN = ChaosPlan(seed=2024, rates={
+    ChaosKind.KERNEL: 0.25,
+    ChaosKind.TRANSFER: 0.25,
+    ChaosKind.HANG: 0.25,
 }, hang_s=30.0)
 RETRY = RetryPolicy(max_retries=3, sample_timeout_s=10.0)
 

@@ -14,8 +14,8 @@ in-process vectorized path.  All strategies produce bit-identical
 series — asserted here on every run — so the numbers compare pure
 executor overhead.  The cache rows time storing the vectorized result
 in the content-addressed sweep cache and replaying it through
-``run_sweep(..., cache_dir=...)``: a hit only pays when it costs less
-than the recompute it replaces.
+``run_sweep(..., cache_dir=...)``, in alternation with the recompute
+it replaces: a hit only pays when it costs less than that recompute.
 
 Analytic work is too cheap to pay for the pool's dispatch.  The DES
 rows time the work the pool is for: a discrete-event sweep (dawn, 128
@@ -120,19 +120,26 @@ def measure() -> dict:
     config = _table3_config()
     backend = backend_for(SYSTEM)
 
-    def timed(run, rounds=ROUNDS):
-        """Best wall time of ``rounds`` repeats after one warmup: the
-        sweep is deterministic, so the minimum is the least-noisy
-        estimate of its cost.  The warmup also spawns the warm worker
-        pool, so the timed parallel rounds measure steady-state reuse
-        — exactly what campaigns and the serving daemon see."""
-        result = run()
-        best = float("inf")
+    def timed_in_turn(runs, rounds):
+        """Best wall time of each of ``runs`` over ``rounds`` repeats
+        after one warmup each: the sweep is deterministic, so the
+        minimum is the least-noisy estimate of its cost.  The runs take
+        turns within each round, so the sides of a gated ratio see the
+        same machine state; a slow spell lands on both, not on one."""
+        results = [run() for run in runs]
+        best = [float("inf")] * len(runs)
         for _ in range(rounds):
-            t0 = time.perf_counter()
-            result = run()
-            best = min(best, time.perf_counter() - t0)
-        return result, best
+            for i, run in enumerate(runs):
+                t0 = time.perf_counter()
+                results[i] = run()
+                best[i] = min(best[i], time.perf_counter() - t0)
+        return list(zip(results, best))
+
+    def timed(run, rounds=ROUNDS):
+        """Best wall time of one run.  The warmup also spawns the warm
+        worker pool, so the timed parallel rounds measure steady-state
+        reuse — exactly what campaigns and the serving daemon see."""
+        return timed_in_turn([run], rounds)[0]
 
     serial_result, serial_s = timed(
         lambda: run_sweep(_ScalarOnly(backend), config, SYSTEM)
@@ -151,14 +158,16 @@ def measure() -> dict:
             CACHE_ROUNDS,
         )
         entry_bytes = Path(entry).stat().st_size
-        hit_result, hit_s = timed(
-            lambda: run_sweep(backend, config, SYSTEM, cache_dir=cache_dir),
+        # a hit and the recompute it replaces, timed in alternation
+        (hit_result, hit_s), (_, recompute_s) = timed_in_turn(
+            [
+                lambda: run_sweep(
+                    backend, config, SYSTEM, cache_dir=cache_dir
+                ),
+                lambda: run_sweep(backend, config, SYSTEM),
+            ],
             CACHE_ROUNDS,
         )
-    # the recompute a hit replaces, timed right after it the same way
-    _, recompute_s = timed(
-        lambda: run_sweep(backend, config, SYSTEM), CACHE_ROUNDS
-    )
     assert hit_result.cache_hit, "the cache-hit row did not hit"
     assert hit_result.series == serial_result.series, (
         "cache replay diverged from the per-cell sweep"

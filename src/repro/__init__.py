@@ -53,7 +53,8 @@ from .core.threshold import (
     find_offload_threshold,
     threshold_for_series,
 )
-from .faults import FaultInjector, FaultKind, FaultPlan
+from .chaos import ChaosKind, ChaosPlan
+from .faults import FaultInjector
 from .systems.catalog import (
     get_system,
     make_model,
@@ -89,6 +90,8 @@ __all__ = [
     "CampaignDriftError",
     "CampaignResult",
     "CampaignSpec",
+    "ChaosKind",
+    "ChaosPlan",
     "CheckpointError",
     "CombinedBackend",
     "ConfigError",
@@ -98,8 +101,6 @@ __all__ = [
     "DeviceKind",
     "Dims",
     "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
     "Finding",
     "GpuSpec",
     "HostCpuBackend",

@@ -51,12 +51,12 @@ import sys
 from typing import List, Optional
 
 from .backends import backend_names, make_backend
+from .chaos import PRESETS, ChaosPlan
 from .core.config import RunConfig
 from .core.csvio import write_run
 from .core.runner import RetryPolicy, run_sweep
 from .core.tables import run_summary
 from .errors import IntegrityError, ReproError, SweepFaultError
-from .faults import FaultPlan
 from .systems.catalog import make_model
 from .types import ALL_PRECISIONS, Kernel, Precision, TransferType
 
@@ -418,8 +418,9 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     )
     dist.add_argument(
         "--chaos-plan", metavar="PLAN", default=None,
-        help="seeded fleet chaos: node-kill | partition | slow-worker, "
-        "optionally ':<seed>' (composes with REPRO_CHAOS_KILL_SHARD "
+        help="seeded fleet chaos (needs --workers or --worker-cmd): "
+        + " | ".join(PRESETS["dist"])
+        + ", optionally ':<seed>' (composes with REPRO_CHAOS_KILL_SHARD "
         "inside workers)",
     )
     return parser
@@ -468,6 +469,16 @@ def _main_campaign(argv: List[str]) -> int:
     log = (lambda line: None) if args.quiet else print
     distributed = args.workers is not None or args.worker_cmd is not None
     try:
+        chaos = (
+            ChaosPlan.parse(args.chaos_plan, "dist")
+            if args.chaos_plan is not None
+            else None
+        )
+        if chaos is not None and not distributed:
+            raise ReproError(
+                "--chaos-plan attacks a worker fleet; add --workers N "
+                "or --worker-cmd CMD"
+            )
         if args.resume and not distributed and not args.checkpoint_dir:
             raise ReproError(
                 "--resume needs --checkpoint-dir DIR (or --workers N, "
@@ -482,7 +493,7 @@ def _main_campaign(argv: List[str]) -> int:
             f"system(s), matrix of {campaign.matrix_size} cell(s)"
         )
         if distributed:
-            result = _run_campaign_distributed(campaign, args, log)
+            result = _run_campaign_distributed(campaign, args, chaos, log)
         else:
             result = run_campaign(
                 campaign,
@@ -528,14 +539,13 @@ def _main_campaign(argv: List[str]) -> int:
     return 0
 
 
-def _run_campaign_distributed(campaign, args, log):
+def _run_campaign_distributed(campaign, args, chaos, log):
     """Shared glue between the campaign parser's distributed flags and
     :func:`repro.dist.dispatcher.run_campaign_distributed`."""
     import shlex
     from pathlib import Path
 
     from .dist.dispatcher import run_campaign_distributed
-    from .faults.distchaos import DistChaosPlan
 
     if args.checkpoint_dir:
         raise ReproError(
@@ -543,9 +553,6 @@ def _run_campaign_distributed(campaign, args, log):
             "distributed runs journal the dispatch ledger instead — "
             "drop --checkpoint-dir"
         )
-    chaos = (
-        DistChaosPlan.parse(args.chaos_plan) if args.chaos_plan else None
-    )
     worker_cmd = shlex.split(args.worker_cmd) if args.worker_cmd else None
     worker_count = args.workers if args.workers is not None else 2
     dist_dir = (
@@ -621,7 +628,7 @@ def _main_query(argv: List[str]) -> int:
     import asyncio
     import json as _json
 
-    from .serve.client import ClientRetryPolicy, ServeClient
+    from .serve.client import ServeClient
 
     args = build_query_parser().parse_args(argv)
     payload = {
@@ -639,7 +646,7 @@ def _main_query(argv: List[str]) -> int:
 
     async def _go():
         client = ServeClient(args.host, args.port,
-                             retry=ClientRetryPolicy())
+                             retry=RetryPolicy(backoff_base_s=0.25))
         try:
             return await client.post("/v1/threshold", payload)
         finally:
@@ -890,7 +897,7 @@ def _main_sweep(argv: List[str]) -> int:
         if args.resume and not args.checkpoint:
             raise ReproError("--resume needs --checkpoint PATH")
         faults = (
-            FaultPlan.uniform(args.fault_rate, seed=args.fault_seed)
+            ChaosPlan.uniform(args.fault_rate, seed=args.fault_seed)
             if args.faults
             else None
         )

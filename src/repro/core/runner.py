@@ -58,9 +58,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
+from ..chaos import ChaosPlan, draw
 from ..errors import (
     RETRYABLE_ERRORS,
     DeviceLostError,
@@ -74,7 +74,6 @@ from ..faults.checkpoint import (
     sample_key,
 )
 from ..faults.injector import FaultInjector
-from ..faults.plan import FaultPlan
 from ..types import DeviceKind, Dims, Kernel, Precision, TransferType
 from .config import RunConfig
 from .invariants import (
@@ -97,11 +96,15 @@ __all__ = ["RetryPolicy", "RunResult", "SweepStats", "run_sweep"]
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the runner reacts to per-sample failures.
+    """How a failed attempt is retried, and what the wait costs.
 
-    Backoff is *simulated* — the runner never sleeps; it accumulates the
-    would-be wait on :attr:`SweepStats.backoff_s` so chaos sweeps stay
-    fast and deterministic.  ``sample_timeout_s`` is a per-sample
+    One policy prices every retry: the runner's sample and shard
+    retries, the dispatcher's scenario retries and the serve client's
+    429/503 retries.  In a sweep, backoff is *simulated* — the runner
+    never sleeps; it accumulates the would-be wait on
+    :attr:`SweepStats.backoff_s` so chaos sweeps stay fast and
+    deterministic — while the client genuinely waits, because it paces
+    a live server.  ``sample_timeout_s`` is a per-sample
     deadline against the sample's simulated seconds: overruns raise
     :class:`~repro.errors.SampleTimeoutError` and are retried like any
     transient fault (a hung sample redraws its faults on retry).
@@ -131,26 +134,13 @@ class RetryPolicy:
             )
 
     def backoff_s(self, attempt: int, key: tuple) -> float:
-        """Simulated wait before retry ``attempt`` (1-based), with
-        deterministic jitter keyed like the fault plan."""
+        """Wait before retry ``attempt`` (1-based), with the
+        deterministic jitter draw of :mod:`repro.chaos`."""
         base = self.backoff_base_s * self.backoff_factor ** (attempt - 1)
         if self.jitter == 0.0:
             return base
-        unit = _backoff_unit(self.seed, attempt, tuple(key))
+        unit = draw(self.seed, "backoff", attempt, *key)
         return base * (1.0 + self.jitter * (2.0 * unit - 1.0))
-
-
-@lru_cache(maxsize=8192)
-def _backoff_unit(seed: int, attempt: int, key: tuple) -> float:
-    """Memoized BLAKE2b jitter draw for :meth:`RetryPolicy.backoff_s`.
-
-    The draw is pure in (seed, attempt, key), and chaos sweeps re-ask
-    for the same cell's jitter on every retry ladder replay — caching
-    skips the repr+hash round trip without changing a single value.
-    """
-    from ..faults.plan import _unit
-
-    return _unit((seed, "backoff", attempt) + key)
 
 
 @dataclass
@@ -416,7 +406,7 @@ def run_sweep(
     config: RunConfig,
     system_name: Optional[str] = None,
     *,
-    faults: Optional[FaultPlan] = None,
+    faults: Optional[ChaosPlan] = None,
     retry: Optional[RetryPolicy] = None,
     fallback=None,
     checkpoint=None,
@@ -436,7 +426,7 @@ def run_sweep(
     in which case the sweep behaves exactly like the classic loop):
 
     ``faults``
-        a :class:`~repro.faults.plan.FaultPlan` to wrap ``backend`` in a
+        a :class:`~repro.chaos.ChaosPlan` to wrap ``backend`` in a
         :class:`~repro.faults.injector.FaultInjector` (no-op if the
         backend already is one).
     ``retry``

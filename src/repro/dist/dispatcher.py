@@ -31,10 +31,10 @@ Failure handling, in order of escalation:
 Restart story: kill -9 the dispatcher, re-run with ``resume=True`` —
 the ledger replays, completed scenarios load their shards, in-flight
 ones are stolen from the dead incarnation, and the report is
-byte-identical.  Chaos plans (:mod:`repro.faults.distchaos`) inject
-worker kills, partitions (messages deferred until the window heals —
-which is how the late-duplicate-finish dedupe path gets exercised) and
-slow workers, all seeded and replayable.
+byte-identical.  A chaos plan's fleet kind (:mod:`repro.chaos`) kills,
+partitions (messages deferred until the window heals — which is how the
+late-duplicate-finish dedupe path gets exercised) or slows one worker,
+seeded and replayable.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..chaos import ChaosKind, ChaosPlan
 from ..core.campaign import CampaignResult, CampaignSpec, expand_scenarios
 from ..core.runner import RetryPolicy
 from ..errors import ConfigError
-from ..faults.distchaos import DistChaosKind, DistChaosPlan
 from ..serve.metrics import LatencyHistogram
 from .heartbeat import HeartbeatMonitor
 from .ledger import LEDGER_FILENAME, DispatchLedger
@@ -65,6 +65,12 @@ __all__ = ["DistStats", "run_campaign_distributed"]
 
 #: Subdirectory of the dist dir holding result shard files.
 RESULTS_DIRNAME = "results"
+
+#: A ``partition`` or ``slow-worker`` window, in leases: long enough
+#: to outlive the lease and force a steal at any ``--lease``.
+PARTITION_LEASES = 2.0
+#: How late a ``slow-worker`` victim's messages arrive, in leases.
+SLOW_WORKER_LEASES = 1.5
 
 
 @dataclass
@@ -152,7 +158,7 @@ def run_campaign_distributed(
     heartbeat_s: Optional[float] = None,
     max_attempts: int = 3,
     poll_s: float = 0.05,
-    chaos: Optional[DistChaosPlan] = None,
+    chaos: Optional[ChaosPlan] = None,
     retry: Optional[RetryPolicy] = None,
     clock=time.monotonic,
     sleep=time.sleep,
@@ -326,7 +332,8 @@ def run_campaign_distributed(
     defer_until: Dict[str, float] = {}  # worker_id -> drop/defer window end
     slow_delay = 0.0
     deferred: List[tuple] = []  # (release_time, worker_id, msg)
-    if chaos is not None and workers:
+    fleet_kind = chaos.fleet_kind if chaos is not None else None
+    if fleet_kind is not None and workers:
         victim_id = workers[chaos.victim(len(workers))].worker_id
         # a small matrix may hand the victim only one assignment ever;
         # clamp the trigger so the fault is guaranteed to fire
@@ -336,7 +343,7 @@ def run_campaign_distributed(
         )
         if log is not None:
             log(
-                f"chaos plan {chaos.kind.value} (seed {chaos.seed}): "
+                f"chaos plan {fleet_kind.value} (seed {chaos.seed}): "
                 f"victim {victim_id}, trigger assignment #{chaos_trigger}"
             )
 
@@ -516,25 +523,24 @@ def run_campaign_distributed(
                     # died between checks; step 3 will steal next tick
                     pass
                 assigned_counts[wid] += 1
-                if (chaos is not None and not chaos_fired
-                        and wid == victim_id
+                if (not chaos_fired and wid == victim_id
                         and assigned_counts[wid] >= chaos_trigger):
                     chaos_fired = True
-                    if chaos.kind is DistChaosKind.NODE_KILL:
+                    if fleet_kind is ChaosKind.NODE_KILL:
                         if log is not None:
                             log(f"chaos: killing worker {wid}")
                         w.kill()
-                    elif chaos.kind is DistChaosKind.PARTITION:
-                        window = chaos.partition_window(lease_s)
+                    elif fleet_kind is ChaosKind.PARTITION:
+                        window = PARTITION_LEASES * lease_s
                         defer_until[wid] = now + window
                         slow_delay = 0.0
                         if log is not None:
                             log(f"chaos: partitioning worker {wid} "
                                 f"for {window:.1f}s")
                     else:  # SLOW_WORKER
-                        window = chaos.partition_window(lease_s)
+                        window = PARTITION_LEASES * lease_s
                         defer_until[wid] = now + window
-                        slow_delay = chaos.slow_delay(lease_s)
+                        slow_delay = SLOW_WORKER_LEASES * lease_s
                         if log is not None:
                             log(f"chaos: slowing worker {wid} by "
                                 f"{slow_delay:.1f}s for {window:.1f}s")

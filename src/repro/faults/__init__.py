@@ -1,14 +1,14 @@
-"""Deterministic fault injection for sweep robustness testing.
+"""Fault injection and checkpoints for resilient sweeps.
 
 Real sweeps on LUMI/DAWN/Isambard queues hit transient kernel launch
 failures, DMA stalls, watchdog timeouts, ECC-retry slowdowns, and the
-occasional mid-run device loss.  This package reproduces all of them
-*deterministically*: a seeded :class:`FaultPlan` decides, per sample
-key and attempt, which fault (if any) fires, and a
-:class:`FaultInjector` wraps any :class:`~repro.backends.base.Backend`
-— analytic, DES, or host — to act the plan out.  The same seed always
-produces the same fault sequence, so chaos runs are replayable and the
-resumable runner can be property-tested against them.
+occasional mid-run device loss.  A seeded :class:`~repro.chaos
+.ChaosPlan` decides, per sample key and attempt, which of them fires,
+and a :class:`FaultInjector` wraps any
+:class:`~repro.backends.base.Backend` — analytic, DES, or host — to act
+the plan out.  The same seed always produces the same fault sequence,
+so chaos runs are replayable and the resumable runner can be
+property-tested against them.
 
 Checkpointing lives in :mod:`repro.faults.checkpoint`: an append-only
 JSONL log of completed samples and quarantine decisions that
@@ -23,17 +23,10 @@ from .checkpoint import (
     sample_key,
 )
 from .injector import FaultInjector
-from .plan import NO_FAULTS, FaultKind, FaultPlan
-from .servechaos import ServeChaosKind, ServeChaosPlan
 
 __all__ = [
     "CheckpointReader",
     "CheckpointWriter",
     "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "NO_FAULTS",
-    "ServeChaosKind",
-    "ServeChaosPlan",
     "sample_key",
 ]

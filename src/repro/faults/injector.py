@@ -1,4 +1,5 @@
-"""A backend wrapper that acts out a :class:`~repro.faults.plan.FaultPlan`.
+"""A backend wrapper that acts out a :class:`~repro.chaos.ChaosPlan`'s
+sweep kinds.
 
 ``FaultInjector`` composes with *any* backend — analytic, DES, or host —
 because it only intercepts the two ``Backend`` sampling methods.  Raising
@@ -15,6 +16,7 @@ from collections import Counter
 from typing import Dict, Optional
 
 from ..backends.base import Backend
+from ..chaos import ChaosKind, ChaosPlan
 from ..core.records import PerfSample
 from ..errors import (
     DeviceLostError,
@@ -22,7 +24,6 @@ from ..errors import (
     TransientKernelError,
 )
 from ..types import DeviceKind, Dims, Precision, TransferType
-from .plan import FaultKind, FaultPlan
 
 __all__ = ["FaultInjector"]
 
@@ -37,7 +38,7 @@ class FaultInjector(Backend):
     GPU sample raises :class:`~repro.errors.DeviceLostError`.
     """
 
-    def __init__(self, inner: Backend, plan: FaultPlan) -> None:
+    def __init__(self, inner: Backend, plan: ChaosPlan) -> None:
         self.inner = inner
         self.plan = plan
         self.device_lost = False
@@ -68,11 +69,11 @@ class FaultInjector(Backend):
                  beta: float) -> PerfSample:
         """Apply the non-raising (timing-poisoning) fault kinds."""
         seconds = sample.seconds
-        if self.plan.fires(FaultKind.ECC, key, attempt):
-            self.stats[FaultKind.ECC] += 1
+        if self.plan.fires(ChaosKind.ECC, key, attempt):
+            self.stats[ChaosKind.ECC] += 1
             seconds *= self.plan.ecc_slowdown
-        if self.plan.fires(FaultKind.HANG, key, attempt):
-            self.stats[FaultKind.HANG] += 1
+        if self.plan.fires(ChaosKind.HANG, key, attempt):
+            self.stats[ChaosKind.HANG] += 1
             seconds += self.plan.hang_s
         if seconds == sample.seconds:
             return sample
@@ -88,8 +89,8 @@ class FaultInjector(Backend):
         key = (DeviceKind.CPU.value, None, kernel.value, dims.as_tuple(),
                precision.value, iterations)
         attempt = self._attempt(key)
-        if self.plan.fires(FaultKind.KERNEL, key, attempt):
-            self.stats[FaultKind.KERNEL] += 1
+        if self.plan.fires(ChaosKind.KERNEL, key, attempt):
+            self.stats[ChaosKind.KERNEL] += 1
             raise TransientKernelError(
                 f"injected CPU kernel failure at {dims} (attempt {attempt})"
             )
@@ -107,20 +108,20 @@ class FaultInjector(Backend):
         key = (DeviceKind.GPU.value, transfer.value, kernel.value,
                dims.as_tuple(), precision.value, iterations)
         attempt = self._attempt(key)
-        if self.plan.fires(FaultKind.DEVICE_LOST, key, attempt):
-            self.stats[FaultKind.DEVICE_LOST] += 1
+        if self.plan.fires(ChaosKind.DEVICE_LOST, key, attempt):
+            self.stats[ChaosKind.DEVICE_LOST] += 1
             self.device_lost = True
             raise DeviceLostError(
                 f"injected device loss at {dims} ({transfer.value})"
             )
-        if self.plan.fires(FaultKind.TRANSFER, key, attempt):
-            self.stats[FaultKind.TRANSFER] += 1
+        if self.plan.fires(ChaosKind.TRANSFER, key, attempt):
+            self.stats[ChaosKind.TRANSFER] += 1
             raise TransferError(
                 f"injected DMA {transfer.value} failure at {dims} "
                 f"(attempt {attempt})"
             )
-        if self.plan.fires(FaultKind.KERNEL, key, attempt):
-            self.stats[FaultKind.KERNEL] += 1
+        if self.plan.fires(ChaosKind.KERNEL, key, attempt):
+            self.stats[ChaosKind.KERNEL] += 1
             raise TransientKernelError(
                 f"injected GPU kernel failure at {dims} (attempt {attempt})"
             )

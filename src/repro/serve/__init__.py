@@ -14,7 +14,7 @@ for stale-while-revalidate degraded answers.  See
 """
 
 from .breaker import BreakerBoard, BreakerState, CircuitBreaker
-from .client import ClientResponse, ClientRetryPolicy, ServeClient, fetch_json
+from .client import ClientResponse, ServeClient, fetch_json
 from .httpd import HttpError, Request, Response, json_response
 from .jobs import JobQueue, QueueFullError
 from .metrics import LatencyHistogram, ServeMetrics
@@ -35,7 +35,6 @@ __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "ClientResponse",
-    "ClientRetryPolicy",
     "HttpError",
     "JobQueue",
     "LatencyHistogram",

@@ -5,11 +5,11 @@ Tests, the benchmarks, and the CI smoke jobs all need to talk to
 client-side twin of :mod:`repro.serve.httpd` — one connection, HTTP/1.1
 with Content-Length framing, keep-alive reuse, JSON bodies.
 
-Retries mirror the sweep layer's :class:`~repro.core.runner
-.RetryPolicy` semantics: exponential backoff with a deterministic
-BLAKE2b jitter draw, honoring the server's ``Retry-After`` hint on 429
-(quota) and 503 (queue full, breaker open) and failing fast on every
-other 4xx — a config error does not get better by asking again.
+Retries are priced by the sweep layer's :class:`~repro.core.runner
+.RetryPolicy` — exponential backoff with a deterministic jitter draw —
+honoring the server's ``Retry-After`` hint on 429 (quota) and 503
+(queue full, breaker open) and failing fast on every other 4xx — a
+config error does not get better by asking again.
 """
 
 from __future__ import annotations
@@ -17,66 +17,17 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..faults.plan import _unit
+from ..core.runner import RetryPolicy
 
-__all__ = ["ClientResponse", "ClientRetryPolicy", "ServeClient", "fetch_json"]
+__all__ = ["ClientResponse", "ServeClient", "fetch_json"]
 
-
-@dataclass(frozen=True)
-class ClientRetryPolicy:
-    """How a client reacts to retryable daemon refusals.
-
-    Unlike the sweep layer's simulated backoff, a client genuinely
-    waits (it is pacing a live server), but the jitter draw is the same
-    deterministic construction, so two runs of one trace pace
-    identically.  A server-provided ``Retry-After`` wins over the
-    computed backoff, clamped to ``retry_after_cap_s``.
-    """
-
-    max_retries: int = 3
-    backoff_base_s: float = 0.25
-    backoff_factor: float = 2.0
-    jitter: float = 0.1
-    retry_after_cap_s: float = 30.0
-    seed: int = 0
-
-    #: 429 quota overruns and 503 refusals are worth retrying; every
-    #: other 4xx is a config error the caller must fix
-    RETRYABLE_STATUSES: ClassVar[Tuple[int, ...]] = (429, 503)
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1:
-            raise ValueError("backoff must be non-negative and non-shrinking")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.retry_after_cap_s <= 0:
-            raise ValueError(
-                f"retry_after_cap_s must be > 0, got {self.retry_after_cap_s}"
-            )
-
-    def should_retry(self, status: int, attempt: int) -> bool:
-        """Is a retry allowed after ``attempt`` (1-based) answered
-        ``status``?"""
-        return status in self.RETRYABLE_STATUSES and attempt <= self.max_retries
-
-    def delay_s(
-        self,
-        attempt: int,
-        key: tuple,
-        retry_after: Optional[float] = None,
-    ) -> float:
-        """Seconds to wait before the next attempt."""
-        if retry_after is not None:
-            return min(max(retry_after, 0.0), self.retry_after_cap_s)
-        base = self.backoff_base_s * self.backoff_factor ** (attempt - 1)
-        if self.jitter == 0.0:
-            return base
-        unit = _unit((self.seed, "client-retry", attempt) + tuple(key))
-        return base * (1.0 + self.jitter * (2.0 * unit - 1.0))
+#: 429 quota overruns and 503 refusals are worth retrying; every other
+#: 4xx is a config error the caller must fix
+RETRYABLE_STATUSES = (429, 503)
+#: the longest server-sent ``Retry-After`` the client will wait
+RETRY_AFTER_CAP_S = 30.0
 
 
 def _parse_retry_after(value: Optional[str]) -> Optional[float]:
@@ -146,7 +97,7 @@ class ServeClient:
         self,
         host: str,
         port: int,
-        retry: Optional[ClientRetryPolicy] = None,
+        retry: Optional[RetryPolicy] = None,
         sleep=None,
     ) -> None:
         self.host = host
@@ -190,15 +141,17 @@ class ServeClient:
         attempt = 1
         while True:
             response = await self._send_once(method, path, body, headers)
-            if self.retry is None or not self.retry.should_retry(
-                response.status, attempt
+            if (
+                self.retry is None
+                or response.status not in RETRYABLE_STATUSES
+                or attempt > self.retry.max_retries
             ):
                 return response
-            delay = self.retry.delay_s(
-                attempt,
-                (method, path),
-                _parse_retry_after(response.headers.get("retry-after")),
-            )
+            retry_after = _parse_retry_after(response.headers.get("retry-after"))
+            if retry_after is not None:
+                delay = min(retry_after, RETRY_AFTER_CAP_S)
+            else:
+                delay = self.retry.backoff_s(attempt, (method, path))
             self.retry_delays.append(delay)
             await self._sleep(delay)
             attempt += 1

@@ -29,8 +29,8 @@ backend) circuit breaker (:mod:`repro.serve.breaker`); while it is
 open the service answers from the sweep cache in stale-while-
 revalidate mode — nearest stored series, ``degraded: true`` marker,
 ``Warning: 110`` header — instead of 500s.  A seeded
-:class:`~repro.faults.servechaos.ServeChaosPlan` (``--chaos-plan``)
-injects slow/failing backends and WAL damage to prove all of it.
+:class:`~repro.chaos.ChaosPlan` (``--chaos-plan``) injects
+slow/failing backends and WAL damage to prove all of it.
 
 Failure surface: per-client token buckets answer 429 with
 ``Retry-After``; a full job queue answers 503 carrying its depth and a
@@ -58,6 +58,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..backends import make_backend
+from ..chaos import PRESETS, ChaosKind, ChaosPlan
 from ..core.config import RunConfig
 from ..core.csvio import FIELDNAMES, sample_row, series_filename
 from ..core.problem import get_problem_type, problem_idents
@@ -78,11 +79,6 @@ from ..errors import (
     UnknownProblemTypeError,
     UnknownSystemError,
 )
-from ..faults.servechaos import (
-    ServeChaosKind,
-    ServeChaosPlan,
-    flip_byte_in_last_record,
-)
 from ..systems.catalog import get_system, system_names
 from ..types import Kernel, Precision, TransferType
 from .breaker import BreakerBoard
@@ -96,7 +92,7 @@ from .httpd import (
 from .jobs import JobQueue, QueueFullError
 from .metrics import ServeMetrics
 from .quota import RateLimiter
-from .wal import WriteAheadLog
+from .wal import WriteAheadLog, flip_byte_in_last_record
 
 __all__ = [
     "ApiError",
@@ -193,7 +189,7 @@ class ServeConfig:
     #: the supervised process pool, and with it REPRO_CHAOS_KILL_SHARD)
     sweep_jobs: int = 1
     #: seeded serve-level fault plan (``--chaos-plan``); None = off
-    chaos: Optional[ServeChaosPlan] = None
+    chaos: Optional[ChaosPlan] = None
 
     def __post_init__(self) -> None:
         from ..errors import ConfigError
@@ -578,11 +574,11 @@ class ThresholdService:
             return False
         return entry_path(self.config.cache_dir, cache_key).is_file()
 
-    def _chaos_fires(self, kind: ServeChaosKind, cache_key, attempt) -> bool:
+    def _chaos_fires(self, kind: ChaosKind, cache_key, attempt) -> bool:
         if self.chaos is None or attempt is None:
             return False
         key = cache_key if isinstance(cache_key, str) else repr(cache_key)
-        return self.chaos.fires(kind, (key, attempt))
+        return self.chaos.fires(kind, (key,), attempt)
 
     # -- write-ahead journal hooks ------------------------------------
 
@@ -592,7 +588,7 @@ class ThresholdService:
         job still runs, ``wal_errors`` ticks, ``/readyz`` flips."""
         if self.wal is None or not isinstance(cache_key, str):
             return None
-        if self._chaos_fires(ServeChaosKind.WAL_STALL, cache_key, attempt):
+        if self._chaos_fires(ChaosKind.WAL_STALL, cache_key, attempt):
             self.wal.healthy = False
             self.metrics.wal_errors += 1
             return None
@@ -603,7 +599,7 @@ class ThresholdService:
         except OSError:
             self.metrics.wal_errors += 1
             return None
-        if self._chaos_fires(ServeChaosKind.WAL_BITFLIP, cache_key, attempt):
+        if self._chaos_fires(ChaosKind.WAL_BITFLIP, cache_key, attempt):
             flip_byte_in_last_record(self.wal.path)
         return job_id
 
@@ -643,8 +639,8 @@ class ThresholdService:
         }
         if self.config.sweep_jobs > 1:
             sweep_kwargs["jobs"] = self.config.sweep_jobs
-        slow = self._chaos_fires(ServeChaosKind.SLOW_BACKEND, cache_key, attempt)
-        fail = self._chaos_fires(ServeChaosKind.FAIL_BACKEND, cache_key, attempt)
+        slow = self._chaos_fires(ChaosKind.SLOW_BACKEND, cache_key, attempt)
+        fail = self._chaos_fires(ChaosKind.FAIL_BACKEND, cache_key, attempt)
 
         def compute():
             if slow:
@@ -1120,8 +1116,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--chaos-plan", metavar="NAME[:SEED]", default=None,
-        help="inject seeded serve-level faults: "
-        "light, heavy, or blackout (testing only)",
+        help="inject seeded serve-level faults (testing only): "
+        + ", ".join(PRESETS["serve"]),
     )
     return parser
 
@@ -1157,7 +1153,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_serve_parser().parse_args(argv)
     try:
         chaos = (
-            ServeChaosPlan.parse(args.chaos_plan)
+            ChaosPlan.parse(args.chaos_plan, "serve")
             if args.chaos_plan is not None
             else None
         )

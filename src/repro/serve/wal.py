@@ -40,6 +40,7 @@ import os
 import socket
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..journal import JOURNAL_VERSIONS, ChecksummedJournal, scan_journal
@@ -51,6 +52,7 @@ __all__ = [
     "WalState",
     "WriteAheadLog",
     "default_owner",
+    "flip_byte_in_last_record",
     "load_wal_state",
 ]
 
@@ -277,3 +279,21 @@ class WriteAheadLog(ChecksummedJournal):
             else:
                 active += 1
         return active, expired
+
+
+def flip_byte_in_last_record(path) -> bool:
+    """The ``wal-bitflip`` chaos act: XOR one digit byte inside the
+    final line of ``path`` (staying syntactically valid JSON so only
+    the record checksum trips).  Returns False when there is nothing
+    to flip."""
+    path = Path(path)
+    try:
+        blob = bytearray(path.read_bytes())
+    except OSError:
+        return False
+    for i in range(len(blob) - 1, -1, -1):
+        if chr(blob[i]).isdigit():
+            blob[i] ^= 0x01
+            path.write_bytes(bytes(blob))
+            return True
+    return False

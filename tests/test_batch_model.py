@@ -9,8 +9,8 @@ neighbours or on the batch length.  Hypothesis drives random shapes,
 systems, iteration counts and paradigms at that exact bar.
 ``tests/test_model_pins.py`` pins the values themselves.
 
-Also pins the memoization satellites: cached jitter/noise draws must
-equal their uncached computations.
+Also pins the noise draw's memo: a cached draw must equal its uncached
+computation.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from hypothesis import strategies as st
 
 from repro import AnalyticBackend, make_model, run_sweep
 from repro.core.config import RunConfig
-from repro.core.runner import RetryPolicy, _backoff_unit
-from repro.faults.plan import _unit
 from repro.sim.noise import DeterministicNoise, _crc_unit
 from repro.systems.catalog import system_names
 from repro.types import ALL_PRECISIONS, Dims, TransferType
@@ -138,17 +136,6 @@ def test_vectorized_sweep_equals_scalar_reference_sweep():
 
 
 # -- memoization satellites -------------------------------------------
-
-
-def test_backoff_jitter_cache_matches_direct_draw():
-    key = ("gemm", "square", "single", "gpu", "once", 64, 64, 64, 8)
-    for attempt in (1, 2, 3):
-        assert _backoff_unit(0, attempt, key) == _unit(
-            (0, "backoff", attempt) + key
-        )
-    policy = RetryPolicy(seed=5)
-    first = policy.backoff_s(2, key)
-    assert policy.backoff_s(2, key) == first
 
 
 def test_noise_crc_cache_matches_direct_draw():

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from repro import (
     AnalyticBackend,
+    ChaosPlan,
     FaultInjector,
-    FaultPlan,
     Kernel,
     Precision,
     RetryPolicy,
@@ -39,7 +39,7 @@ CONFIG = RunConfig(
     kernels=(Kernel.GEMM,), precisions=(Precision.SINGLE,),
 )
 RETRY = RetryPolicy(max_retries=2, sample_timeout_s=60.0)
-PLAN = FaultPlan.uniform(0.2, seed=13)
+PLAN = ChaosPlan.uniform(0.2, seed=13)
 
 
 class Interrupting(Backend):
@@ -183,7 +183,7 @@ def test_resume_without_existing_checkpoint_starts_fresh(tmp_path):
 def test_interrupted_resume_identical_to_uninterrupted(seed, fail_after):
     """Kill the sweep at any backend call; the resumed run must equal
     the uninterrupted one, stats aside."""
-    plan = FaultPlan.uniform(0.25, seed=seed, device_lost_rate=0.01)
+    plan = ChaosPlan.uniform(0.25, seed=seed, device_lost_rate=0.01)
     ref = quiet_sweep(chain(plan))
     with tempfile.TemporaryDirectory() as td:
         ck = Path(td) / "ck.jsonl"

@@ -143,6 +143,16 @@ def test_cache_prune_negative_bound_exits_2(capsys, tmp_path):
     assert "max_entries" in _error_line(capsys)
 
 
+@pytest.mark.parametrize("plan", ("node-kill", "meteor-strike"))
+def test_serve_takes_only_serve_chaos_presets(capsys, tmp_path, plan):
+    rc = cli.main([
+        "serve", "--port", "0", "--cache-dir", str(tmp_path),
+        "--chaos-plan", plan,
+    ])
+    assert rc == 2
+    assert "valid: light, heavy, blackout" in _error_line(capsys)
+
+
 def test_strict_and_shard_timeout_flags_reach_run_sweep(capsys, monkeypatch):
     seen = {}
 

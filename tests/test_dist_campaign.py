@@ -23,6 +23,7 @@ import pytest
 
 import repro.cli as cli
 from repro.core.campaign import load_campaign, run_campaign, write_report
+from repro.chaos import ChaosKind, ChaosPlan
 from repro.core.runner import RetryPolicy
 from repro.dist import (
     DispatchLedger,
@@ -33,7 +34,6 @@ from repro.dist import (
 )
 from repro.dist.ledger import LEDGER_FILENAME
 from repro.errors import ConfigError, TransientKernelError
-from repro.faults.distchaos import DistChaosPlan
 
 SMALL = textwrap.dedent(
     """\
@@ -163,7 +163,7 @@ def test_node_kill_steals_and_stays_byte_identical(
 ):
     result, _ = run_dist(
         campaign, tmp_path / "d", n_workers=3,
-        chaos=DistChaosPlan.parse("node-kill:7"),
+        chaos=ChaosPlan.parse("node-kill:7", "dist"),
     )
     assert result.complete and not result.quarantined
     stats = result.dist_stats
@@ -180,7 +180,7 @@ def test_partition_heals_and_dedupes_duplicate_finish(
     deduped (idempotent completion), never double-counted."""
     result, _ = run_dist(
         campaign, tmp_path / "d", n_workers=3,
-        chaos=DistChaosPlan.parse("partition:3"),
+        chaos=ChaosPlan.parse("partition:3", "dist"),
     )
     assert result.complete and not result.quarantined
     stats = result.dist_stats
@@ -194,19 +194,33 @@ def test_partition_heals_and_dedupes_duplicate_finish(
 def test_slow_worker_chaos_completes_identical(campaign, golden, tmp_path):
     result, _ = run_dist(
         campaign, tmp_path / "d", n_workers=3,
-        chaos=DistChaosPlan.parse("slow-worker:5"),
+        chaos=ChaosPlan.parse("slow-worker:5", "dist"),
     )
     assert result.complete and not result.quarantined
     assert_identical_report(result, tmp_path, golden)
 
 
 def test_chaos_plan_parse_rejects_garbage():
-    plan = DistChaosPlan.parse("node-kill:42")
+    plan = ChaosPlan.parse("node-kill:42", "dist")
     assert plan.seed == 42
     with pytest.raises(ConfigError):
-        DistChaosPlan.parse("meteor-strike")
+        ChaosPlan.parse("meteor-strike", "dist")
     with pytest.raises(ConfigError):
-        DistChaosPlan.parse("node-kill:not-a-seed")
+        ChaosPlan.parse("node-kill:not-a-seed", "dist")
+
+
+def test_fleet_kinds_fire_once_and_alone():
+    """A fleet kind is switched on with rate 1.0 and no other rate; a
+    plan holds at most one, and a plan without one names no victim."""
+    plan = ChaosPlan.parse("partition:3", "dist")
+    assert plan.fleet_kind is ChaosKind.PARTITION
+    assert plan.rates == {ChaosKind.PARTITION: 1.0}
+    with pytest.raises(ConfigError):
+        ChaosPlan(rates={ChaosKind.NODE_KILL: 0.5})
+    with pytest.raises(ConfigError):
+        ChaosPlan(rates={ChaosKind.NODE_KILL: 1.0, ChaosKind.PARTITION: 1.0})
+    with pytest.raises(ConfigError):
+        ChaosPlan.parse("heavy", "serve").victim(3)
 
 
 # -- retries and dead-letters -----------------------------------------
@@ -453,3 +467,38 @@ def test_cli_rejects_checkpoints_with_distribution(campaign, tmp_path):
         "--checkpoint-dir", str(tmp_path / "ck"),
     ])
     assert rc != 0
+
+
+@pytest.mark.parametrize("plan, message", (
+    ("meteor-strike", "valid: node-kill, partition, slow-worker"),
+    ("heavy", "valid: node-kill, partition, slow-worker"),
+    ("node-kill:x", "seed must be an integer"),
+))
+def test_cli_rejects_a_bad_chaos_plan_even_on_a_dry_run(
+    campaign, tmp_path, capsys, plan, message
+):
+    """The plan is parsed before anything else runs, so an unknown
+    name, a serve preset or a bad seed exits 2 up front."""
+    path = tmp_path / "dist-unit.toml"
+    rc = cli.main([
+        "campaign", str(path), "--workers", "2", "--chaos-plan", plan,
+        "--dry-run",
+    ])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "dry run" not in captured.out
+    assert message in captured.err
+
+
+def test_cli_rejects_chaos_without_a_fleet(campaign, tmp_path, capsys):
+    """A local campaign has no worker to attack: the plan used to be
+    ignored and the campaign ran clean."""
+    path = tmp_path / "dist-unit.toml"
+    out = tmp_path / "out"
+    rc = cli.main([
+        "campaign", str(path), "--chaos-plan", "node-kill:7",
+        "--output", str(out), "--no-cache", "--no-drift",
+    ])
+    assert rc == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,4 +1,4 @@
-"""FaultPlan determinism and FaultInjector behavior per fault kind."""
+"""ChaosPlan determinism and FaultInjector behavior per fault kind."""
 
 from __future__ import annotations
 
@@ -6,10 +6,10 @@ import pytest
 
 from repro import (
     AnalyticBackend,
+    ChaosKind,
+    ChaosPlan,
     Dims,
     FaultInjector,
-    FaultKind,
-    FaultPlan,
     Kernel,
     Precision,
     TransferType,
@@ -21,13 +21,12 @@ from repro.errors import (
     TransferError,
     TransientKernelError,
 )
-from repro.faults.plan import NO_FAULTS
 
 MODEL = make_model("lumi")
 DIMS = Dims(256, 256, 256)
 
 
-def make_injector(plan: FaultPlan) -> FaultInjector:
+def make_injector(plan: ChaosPlan) -> FaultInjector:
     return FaultInjector(AnalyticBackend(MODEL), plan)
 
 
@@ -36,22 +35,22 @@ def make_injector(plan: FaultPlan) -> FaultInjector:
 
 def test_plan_validation():
     with pytest.raises(ConfigError):
-        FaultPlan(rates={FaultKind.KERNEL: -0.1})
+        ChaosPlan(rates={ChaosKind.KERNEL: -0.1})
     with pytest.raises(ConfigError):
-        FaultPlan(rates={FaultKind.KERNEL: 1.0})
+        ChaosPlan(rates={ChaosKind.KERNEL: 1.0})
     with pytest.raises(ConfigError):
-        FaultPlan(hang_s=0.0)
+        ChaosPlan(hang_s=0.0)
     with pytest.raises(ConfigError):
-        FaultPlan(ecc_slowdown=0.9)
+        ChaosPlan(ecc_slowdown=0.9)
     with pytest.raises(ConfigError):
-        FaultPlan(rates={"kernel": 0.1})
+        ChaosPlan(rates={"kernel": 0.1})
 
 
 def test_plan_is_deterministic():
-    a = FaultPlan.uniform(0.3, seed=42)
-    b = FaultPlan.uniform(0.3, seed=42)
+    a = ChaosPlan.uniform(0.3, seed=42)
+    b = ChaosPlan.uniform(0.3, seed=42)
     key = ("gpu", "once", "gemm", (64, 64, 64), "single", 8)
-    for kind in FaultKind:
+    for kind in ChaosKind:
         for attempt in range(4):
             assert a.fires(kind, key, attempt) == b.fires(kind, key, attempt)
 
@@ -60,7 +59,7 @@ def test_plan_seed_changes_draws():
     key = ("gpu", "once", "gemm", (64, 64, 64), "single", 8)
     draws = {
         seed: tuple(
-            FaultPlan.uniform(0.5, seed=seed).fires(FaultKind.KERNEL, key, a)
+            ChaosPlan.uniform(0.5, seed=seed).fires(ChaosKind.KERNEL, key, a)
             for a in range(32)
         )
         for seed in range(4)
@@ -71,17 +70,17 @@ def test_plan_seed_changes_draws():
 def test_plan_rate_monotonicity():
     """rate 0 never fires; rate ~1 nearly always fires."""
     key = ("cpu", None, "gemm", (8, 8, 8), "double", 1)
-    assert not NO_FAULTS.enabled
-    assert not NO_FAULTS.fires(FaultKind.KERNEL, key, 0)
-    hot = FaultPlan(rates={FaultKind.KERNEL: 0.999})
-    fired = sum(hot.fires(FaultKind.KERNEL, key, a) for a in range(100))
+    assert not ChaosPlan().enabled
+    assert not ChaosPlan().fires(ChaosKind.KERNEL, key, 0)
+    hot = ChaosPlan(rates={ChaosKind.KERNEL: 0.999})
+    fired = sum(hot.fires(ChaosKind.KERNEL, key, a) for a in range(100))
     assert fired > 90
 
 
 def test_attempts_draw_independently():
-    plan = FaultPlan.uniform(0.5, seed=3)
+    plan = ChaosPlan.uniform(0.5, seed=3)
     key = ("gpu", "always", "gemv", (100, 100), "single", 8)
-    draws = [plan.fires(FaultKind.TRANSFER, key, a) for a in range(64)]
+    draws = [plan.fires(ChaosKind.TRANSFER, key, a) for a in range(64)]
     assert any(draws) and not all(draws)
 
 
@@ -90,7 +89,7 @@ def test_attempts_draw_independently():
 
 def test_injector_no_faults_is_transparent():
     clean = AnalyticBackend(MODEL)
-    inj = make_injector(NO_FAULTS)
+    inj = make_injector(ChaosPlan())
     assert inj.cpu_sample(
         Kernel.GEMM, DIMS, Precision.SINGLE, 8
     ) == clean.cpu_sample(Kernel.GEMM, DIMS, Precision.SINGLE, 8)
@@ -105,7 +104,7 @@ def test_injector_no_faults_is_transparent():
 
 def test_injector_raises_kernel_and_transfer_faults():
     inj = make_injector(
-        FaultPlan(rates={FaultKind.KERNEL: 0.999, FaultKind.TRANSFER: 0.999})
+        ChaosPlan(rates={ChaosKind.KERNEL: 0.999, ChaosKind.TRANSFER: 0.999})
     )
     with pytest.raises((TransientKernelError, TransferError)):
         inj.gpu_sample(Kernel.GEMM, DIMS, Precision.SINGLE, 8, TransferType.ONCE)
@@ -118,7 +117,7 @@ def test_injector_hang_inflates_seconds():
     clean = AnalyticBackend(MODEL).cpu_sample(
         Kernel.GEMM, DIMS, Precision.SINGLE, 8
     )
-    inj = make_injector(FaultPlan(rates={FaultKind.HANG: 0.999}, hang_s=7.5))
+    inj = make_injector(ChaosPlan(rates={ChaosKind.HANG: 0.999}, hang_s=7.5))
     hung = inj.cpu_sample(Kernel.GEMM, DIMS, Precision.SINGLE, 8)
     assert hung.seconds == pytest.approx(clean.seconds + 7.5)
     # gflops is recomputed from the inflated time
@@ -130,7 +129,7 @@ def test_injector_ecc_slowdown():
         Kernel.GEMM, DIMS, Precision.DOUBLE, 8, TransferType.ONCE
     )
     inj = make_injector(
-        FaultPlan(rates={FaultKind.ECC: 0.999}, ecc_slowdown=2.0)
+        ChaosPlan(rates={ChaosKind.ECC: 0.999}, ecc_slowdown=2.0)
     )
     slow = inj.gpu_sample(
         Kernel.GEMM, DIMS, Precision.DOUBLE, 8, TransferType.ONCE
@@ -139,7 +138,7 @@ def test_injector_ecc_slowdown():
 
 
 def test_injector_device_loss_is_sticky():
-    inj = make_injector(FaultPlan(rates={FaultKind.DEVICE_LOST: 0.999}))
+    inj = make_injector(ChaosPlan(rates={ChaosKind.DEVICE_LOST: 0.999}))
     with pytest.raises(DeviceLostError):
         inj.gpu_sample(Kernel.GEMM, DIMS, Precision.SINGLE, 1, TransferType.ONCE)
     assert inj.device_lost
@@ -157,7 +156,7 @@ def test_injector_device_loss_is_sticky():
 
 def test_injector_retry_attempts_redraw():
     """A cell that faults on attempt 0 can succeed on a later attempt."""
-    plan = FaultPlan.uniform(0.5, seed=11)
+    plan = ChaosPlan.uniform(0.5, seed=11)
     inj = make_injector(plan)
     outcomes = []
     for _ in range(8):

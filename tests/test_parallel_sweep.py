@@ -148,12 +148,12 @@ def test_resumed_run_mixing_serial_and_parallel_segments(tmp_path):
 def test_parallel_fault_injection_falls_back_to_serial():
     """jobs>1 with faults silently runs in-process — fault attempt
     counters are per-injector state that cannot shard."""
-    from repro import FaultInjector, FaultPlan, RetryPolicy
+    from repro import ChaosPlan, FaultInjector, RetryPolicy
 
     config = RunConfig(
         max_dim=48, step=16, iterations=8, precisions=(Precision.SINGLE,),
     )
-    plan = FaultPlan.uniform(0.2, seed=13)
+    plan = ChaosPlan.uniform(0.2, seed=13)
     retry = RetryPolicy(max_retries=2)
 
     def sweep(jobs):

@@ -1,7 +1,7 @@
 """The resilient sweep loop: retries, quarantine, degradation, chaos.
 
 The acceptance property of the fault-injection PR lives here: under
-*any* seeded ``FaultPlan`` with retries enabled the sweep completes
+*any* seeded ``ChaosPlan`` with retries enabled the sweep completes
 without raising, every requested cell is accounted for (sampled,
 quarantined, or lost with the device), and with faults disabled the
 runner is bit-identical to the classic loop.
@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from repro import (
     AnalyticBackend,
+    ChaosKind,
+    ChaosPlan,
     DesBackend,
     FaultInjector,
-    FaultKind,
-    FaultPlan,
     Kernel,
     Precision,
     RetryPolicy,
@@ -58,7 +58,7 @@ def chaos_ctx():
 
 def test_no_faults_identical_to_classic_loop():
     plain = run_sweep(AnalyticBackend(MODEL), CONFIG)
-    zero = run_sweep(AnalyticBackend(MODEL), CONFIG, faults=FaultPlan(),
+    zero = run_sweep(AnalyticBackend(MODEL), CONFIG, faults=ChaosPlan(),
                      retry=RetryPolicy(max_retries=5))
     assert plain == zero
     assert plain.complete and not plain.quarantine
@@ -91,7 +91,7 @@ def test_backoff_grows_exponentially_with_jitter():
 
 
 def test_transient_faults_are_retried_to_success():
-    plan = FaultPlan.uniform(0.3, seed=5)
+    plan = ChaosPlan.uniform(0.3, seed=5)
     with chaos_ctx():
         result = run_sweep(
             AnalyticBackend(MODEL), CONFIG, faults=plan,
@@ -105,7 +105,7 @@ def test_transient_faults_are_retried_to_success():
 
 
 def test_exhausted_retries_quarantine_not_crash():
-    plan = FaultPlan(rates={FaultKind.KERNEL: 0.999}, seed=1)
+    plan = ChaosPlan(rates={ChaosKind.KERNEL: 0.999}, seed=1)
     with pytest.warns(PartialSweepWarning):
         result = run_sweep(
             AnalyticBackend(MODEL), CONFIG, faults=plan,
@@ -121,7 +121,7 @@ def test_exhausted_retries_quarantine_not_crash():
 
 
 def test_sample_timeout_enforced_and_retried():
-    plan = FaultPlan(rates={FaultKind.HANG: 0.4}, seed=9, hang_s=100.0)
+    plan = ChaosPlan(rates={ChaosKind.HANG: 0.4}, seed=9, hang_s=100.0)
     with chaos_ctx():
         result = run_sweep(
             AnalyticBackend(MODEL), CONFIG, faults=plan,
@@ -172,7 +172,7 @@ def test_unexpected_error_without_fallback_quarantines():
 
 
 def test_device_loss_continues_cpu_only():
-    plan = FaultPlan(rates={FaultKind.DEVICE_LOST: 0.999}, seed=2)
+    plan = ChaosPlan(rates={ChaosKind.DEVICE_LOST: 0.999}, seed=2)
     # The loss emits TWO warnings — the CPU-only continuation and the
     # quarantined observing cell.  pytest.warns(..., match=) re-emits
     # non-matching warnings (which -W error would escalate), so capture
@@ -248,8 +248,8 @@ def test_threshold_warns_on_missing_samples_instead_of_keyerror():
     rate=st.floats(min_value=0.0, max_value=0.5),
 )
 def test_chaos_sweep_always_completes(seed, rate):
-    """Under any seeded FaultPlan with retries enabled, run_sweep returns."""
-    plan = FaultPlan.uniform(rate, seed=seed, device_lost_rate=rate / 20.0)
+    """Under any seeded ChaosPlan with retries enabled, run_sweep returns."""
+    plan = ChaosPlan.uniform(rate, seed=seed, device_lost_rate=rate / 20.0)
     backend = FaultInjector(AnalyticBackend(MODEL), plan)
     with chaos_ctx():
         result = run_sweep(

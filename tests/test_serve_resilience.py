@@ -14,8 +14,9 @@ import json
 import time
 
 from repro import AnalyticBackend, RunConfig, make_model, run_sweep
-from repro.faults.servechaos import ServeChaosKind, ServeChaosPlan
-from repro.serve.client import ClientRetryPolicy, ServeClient
+from repro.chaos import ChaosKind, ChaosPlan
+from repro.core.runner import RetryPolicy
+from repro.serve.client import ServeClient
 from repro.serve.service import ServeConfig, start_server
 from repro.types import Kernel, Precision
 
@@ -153,7 +154,7 @@ def test_client_backs_off_per_retry_after_then_succeeds(tmp_path):
         client = ServeClient(
             handle.host,
             handle.port,
-            retry=ClientRetryPolicy(max_retries=2),
+            retry=RetryPolicy(max_retries=2),
             sleep=fake_sleep,
         )
         try:
@@ -178,7 +179,7 @@ def test_client_fails_fast_on_non_retryable_4xx(tmp_path):
         config = ServeConfig(port=0, cache_dir=str(tmp_path / "cache"))
         handle = await start_server(config, sweep_fn=CountingSweep())
         client = ServeClient(
-            handle.host, handle.port, retry=ClientRetryPolicy()
+            handle.host, handle.port, retry=RetryPolicy()
         )
         try:
             r = await client.post(
@@ -196,8 +197,8 @@ def test_client_fails_fast_on_non_retryable_4xx(tmp_path):
 def test_wal_stall_degrades_to_cache_only(tmp_path):
     """A journal that stops accepting writes must not fail requests —
     the daemon keeps answering but reports itself not ready."""
-    chaos = ServeChaosPlan(
-        seed=7, rates={ServeChaosKind.WAL_STALL: 0.999}
+    chaos = ChaosPlan(
+        seed=7, rates={ChaosKind.WAL_STALL: 0.999}
     )
 
     async def check():

@@ -17,18 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import ChaosKind, ChaosPlan
 from repro.core.fsck import fsck_paths
 from repro.errors import ConfigError
-from repro.faults.servechaos import (
-    ServeChaosKind,
-    ServeChaosPlan,
-    flip_byte_in_last_record,
-)
 from repro.journal import repair_tail as repair_wal_tail
 from repro.serve.client import ServeClient
 from repro.serve.service import ServeConfig, start_server
 from repro.serve.wal import (
     WriteAheadLog,
+    flip_byte_in_last_record,
     load_wal_state,
 )
 
@@ -150,24 +147,24 @@ def test_fsck_audits_and_repairs_the_wal(tmp_path):
 
 
 def test_chaos_plan_parse_and_determinism():
-    plan = ServeChaosPlan.parse("heavy:42")
+    plan = ChaosPlan.parse("heavy:42", "serve")
     assert plan.seed == 42 and plan.enabled
     draws = [
-        plan.fires(ServeChaosKind.FAIL_BACKEND, ("key", i)) for i in range(64)
+        plan.fires(ChaosKind.FAIL_BACKEND, ("key",), i) for i in range(64)
     ]
     assert draws == [
-        plan.fires(ServeChaosKind.FAIL_BACKEND, ("key", i)) for i in range(64)
+        plan.fires(ChaosKind.FAIL_BACKEND, ("key",), i) for i in range(64)
     ]
     assert any(draws) and not all(draws)
-    assert not ServeChaosPlan.parse("light").fires(
-        ServeChaosKind.WAL_BITFLIP, ("key", 1)
+    assert not ChaosPlan.parse("light", "serve").fires(
+        ChaosKind.WAL_BITFLIP, ("key",), 1
     )
     with pytest.raises(ConfigError):
-        ServeChaosPlan.parse("hurricane")
+        ChaosPlan.parse("hurricane", "serve")
     with pytest.raises(ConfigError):
-        ServeChaosPlan.parse("light:not-a-seed")
+        ChaosPlan.parse("light:not-a-seed", "serve")
     with pytest.raises(ConfigError):
-        ServeChaosPlan(rates={ServeChaosKind.FAIL_BACKEND: 1.0})
+        ChaosPlan(rates={ChaosKind.FAIL_BACKEND: 1.0})
 
 
 @settings(max_examples=20, deadline=None)

@@ -12,7 +12,7 @@ import warnings
 
 import pytest
 
-from repro import AnalyticBackend, FaultPlan, RetryPolicy, make_model, run_sweep
+from repro import AnalyticBackend, ChaosPlan, RetryPolicy, make_model, run_sweep
 from repro.backends.des import DesBackend
 from repro.core.config import RunConfig
 from repro.core.csvio import write_run
@@ -180,7 +180,7 @@ def test_no_cache_dir_disables_caching(tmp_path):
 
 def test_faulty_or_checkpointed_runs_bypass_the_cache(tmp_path):
     cache = tmp_path / "cache"
-    plan = FaultPlan.uniform(0.3, seed=13)
+    plan = ChaosPlan.uniform(0.3, seed=13)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PartialSweepWarning)
         run_sweep(
