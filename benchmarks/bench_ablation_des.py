@@ -43,7 +43,7 @@ def test_ablation_des_vs_analytic(benchmark):
     total = 0
     worst = 0.0
     for series_a, series_d in zip(analytic_run.series, des_run.series):
-        for sample_a, sample_d in zip(series_a.samples, series_d.samples):
+        for sample_a, sample_d in zip(series_a.all_samples(), series_d.all_samples()):
             total += 1
             rel = abs(sample_a.seconds - sample_d.seconds) / sample_a.seconds
             worst = max(worst, rel)

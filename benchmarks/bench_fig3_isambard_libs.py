@@ -29,10 +29,10 @@ def _cpu_only_curve(model, iterations: int, label: str) -> Curve:
                     problem_idents=("square",), gpu_enabled=False,
                     transfers=())
     run = run_sweep(AnalyticBackend(model), cfg)
-    samples = run.series[0].cpu_samples()
+    cpu = run.series[0].cpu
     return Curve(label=label,
-                 sizes=tuple(s.dims.m for s in samples),
-                 gflops=tuple(s.gflops for s in samples))
+                 sizes=tuple(cpu.m.tolist()),
+                 gflops=tuple(cpu.gflops.tolist()))
 
 
 def test_fig3_isambard_cpu_libraries(benchmark):

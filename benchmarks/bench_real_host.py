@@ -18,7 +18,7 @@ from repro.core.csvio import write_run
 from repro.core.runner import run_sweep
 from repro.core.tables import run_summary
 from repro.systems.catalog import make_model
-from repro.types import DeviceKind, Kernel, Precision
+from repro.types import Kernel, Precision
 
 CFG = RunConfig(min_dim=16, max_dim=256, iterations=4, step=16,
                 precisions=(Precision.SINGLE,), kernels=(Kernel.GEMM,),
@@ -45,7 +45,7 @@ def test_real_host_sweep(benchmark):
 
     write_run(result, harness.results_dir("real_host"))
 
-    cpu = [s for s in series.samples if s.device is DeviceKind.CPU]
+    cpu = series.cpu.samples()
     # Real measurements: positive durations and checksums recorded.
     assert cpu and all(s.seconds > 0 for s in cpu)
     # Real NumPy GEMM on any host manages more than 1 GFLOP/s at size 256.

@@ -39,7 +39,7 @@ def lumi_gemv_study() -> None:
         run = run_sweep(AnalyticBackend(model), config, system_name="lumi")
         series = run.series[0]
         threshold = threshold_for_series(series, TransferType.ONCE)
-        cpu_peak = max(s.gflops for s in series.cpu_samples())
+        cpu_peak = max(series.cpu.gflops.tolist())
         print(f"  {library:9s} peak CPU {cpu_peak:8.1f} GFLOP/s | "
               f"Transfer-Once offload threshold: {threshold}")
     print("  -> the vendor library *creates* the offload threshold; the\n"

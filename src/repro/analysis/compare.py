@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..core.records import ProblemSeries
+from ..core.threshold import aligned_rows
 from ..types import Dims, TransferType
 
 __all__ = ["TransferComparison", "compare_transfers", "gpu_win_windows"]
@@ -25,21 +26,24 @@ def gpu_win_windows(
     series: ProblemSeries, transfer: TransferType
 ) -> List[Tuple[Dims, Dims]]:
     """Maximal [first, last] dim ranges where the GPU beats the CPU for
-    at least ``_MIN_RUN`` consecutive swept sizes."""
-    cpu = series.cpu_samples()
-    gpu = {s.dims: s for s in series.gpu_samples(transfer)}
+    at least ``_MIN_RUN`` consecutive swept sizes.  Like the threshold
+    detector, a size present on one device only is skipped, so a
+    missing cell bridges a window instead of breaking it."""
+    cpu, gpu = series.cpu, series.gpu.get(transfer)
+    if gpu is None:
+        return []
+    rows_cpu, rows_gpu = aligned_rows(cpu, gpu)
+    wins = (gpu.seconds[rows_gpu] < cpu.seconds[rows_cpu]).tolist()
     windows: List[Tuple[Dims, Dims]] = []
-    run: List[Dims] = []
-    for c in cpu:
-        g = gpu.get(c.dims)
-        if g is not None and g.seconds < c.seconds:
-            run.append(c.dims)
+    start = 0
+    for j, win in enumerate(wins + [False]):
+        if win:
             continue
-        if len(run) >= _MIN_RUN:
-            windows.append((run[0], run[-1]))
-        run = []
-    if len(run) >= _MIN_RUN:
-        windows.append((run[0], run[-1]))
+        if j - start >= _MIN_RUN:
+            windows.append(
+                (cpu.dims_at(rows_cpu[start]), cpu.dims_at(rows_cpu[j - 1]))
+            )
+        start = j + 1
     return windows
 
 
@@ -56,22 +60,19 @@ class TransferComparison:
 
 def compare_transfers(series: ProblemSeries) -> List[TransferComparison]:
     """One comparison per size present under every swept paradigm."""
-    by_transfer = {
-        t: {s.dims: s for s in series.gpu_samples(t)}
-        for t in series.transfer_types()
-    }
-    if not by_transfer:
+    if not series.gpu:
         return []
-    common = None
-    for table in by_transfer.values():
-        keys = set(table)
-        common = keys if common is None else common & keys
-    out = []
-    for dims in sorted(common):
-        out.append(
-            TransferComparison(
-                dims=dims,
-                gflops={t: by_transfer[t][dims].gflops for t in by_transfer},
-            )
+    first = next(iter(series.gpu.values()))
+    rows = {  # per transfer: row in ``first`` -> row in its own column
+        t: dict(zip(*(r.tolist() for r in aligned_rows(first, col))))
+        for t, col in series.gpu.items()
+    }
+    common = set.intersection(*map(set, rows.values()))
+    return [
+        TransferComparison(
+            dims=first.dims_at(i),
+            gflops={t: series.gpu[t].gflops[r[i]].item()
+                    for t, r in rows.items()},
         )
-    return out
+        for i in sorted(common, key=first.dims_at)
+    ]

@@ -6,7 +6,9 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..core.records import ProblemSeries
+import numpy as np
+
+from ..core.records import Column, ProblemSeries
 from ..types import TransferType
 
 __all__ = [
@@ -56,13 +58,15 @@ class CurveSet:
         return rows
 
 
+def _curve(label: str, column: Optional[Column]) -> Curve:
+    if column is None:
+        return Curve(label=label, sizes=(), gflops=())
+    sizes = np.maximum(np.maximum(column.m, column.n), column.k)
+    return Curve(label, tuple(sizes.tolist()), tuple(column.gflops.tolist()))
+
+
 def cpu_curve(series: ProblemSeries, label: Optional[str] = None) -> Curve:
-    samples = series.cpu_samples()
-    return Curve(
-        label=label or "CPU",
-        sizes=tuple(s.dims.max_dim for s in samples),
-        gflops=tuple(s.gflops for s in samples),
-    )
+    return _curve(label or "CPU", series.cpu)
 
 
 def gpu_curve(
@@ -70,11 +74,8 @@ def gpu_curve(
     transfer: TransferType,
     label: Optional[str] = None,
 ) -> Curve:
-    samples = series.gpu_samples(transfer)
-    return Curve(
-        label=label or f"GPU {transfer.label}",
-        sizes=tuple(s.dims.max_dim for s in samples),
-        gflops=tuple(s.gflops for s in samples),
+    return _curve(
+        label or f"GPU {transfer.label}", series.gpu.get(transfer)
     )
 
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..core.threshold import aligned_rows
 from ..sim.perfmodel import NodePerfModel
 from ..types import DeviceKind, Dims, Precision, TransferType
 
@@ -54,27 +55,21 @@ class EmpiricalSelector:
         """Ingest every (dims, iterations) cell of the given runs."""
         for run in runs:
             for series in run.series:
-                gpu_tables = {
-                    t: {s.dims: s for s in series.gpu_samples(t)}
-                    for t in series.transfer_types()
-                }
-                for c in series.cpu_samples():
-                    best_t: Optional[TransferType] = None
-                    best_s = math.inf
-                    for t, table in gpu_tables.items():
-                        g = table.get(c.dims)
-                        if g is not None and g.seconds < best_s:
-                            best_s, best_t = g.seconds, t
-                    if best_t is None:
-                        continue
-                    self._points.setdefault(series.precision, []).append(
-                        (
-                            _features(c.dims, series.iterations),
-                            c.seconds,
-                            best_s,
-                            best_t,
-                        )
-                    )
+                cpu = series.cpu
+                best_s = [math.inf] * len(cpu)
+                best_t: List[Optional[TransferType]] = [None] * len(cpu)
+                for t, gpu in series.gpu.items():
+                    rows_cpu, rows_gpu = aligned_rows(cpu, gpu)
+                    for i, s in zip(rows_cpu.tolist(),
+                                    gpu.seconds[rows_gpu].tolist()):
+                        if s < best_s[i]:
+                            best_s[i], best_t[i] = s, t
+                cpu_s = cpu.seconds.tolist()
+                self._points.setdefault(series.precision, []).extend(
+                    (_features(cpu.dims_at(i), series.iterations),
+                     cpu_s[i], best_s[i], t)
+                    for i, t in enumerate(best_t) if t is not None
+                )
         return self
 
     def n_points(self) -> int:

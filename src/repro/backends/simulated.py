@@ -7,9 +7,12 @@ so full paper-scale sweeps finish in seconds on any machine.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..core.records import PerfSample
+import numpy as np
+
+from ..core.flops import dims_columns, flops_for_batch
+from ..core.records import Column, PerfSample
 from ..sim.perfmodel import NodePerfModel
 from ..types import DeviceKind, Dims, TransferType
 from .base import Backend, model_cache_token
@@ -55,54 +58,47 @@ class AnalyticBackend(Backend):
 
     # -- batch path -----------------------------------------------------
     #
-    # One closed-form evaluation over a whole same-kernel batch of dims.
-    # The per-cell samplers above price a batch of one through the same
-    # forms, so each sample here equals the per-cell one bit for bit and
-    # the runner can switch paths freely without perturbing goldens.
+    # One closed-form evaluation over a same-kernel batch of dims, as one
+    # column.  The per-cell samplers above price a batch of one through
+    # the same forms, so each cell equals the per-cell sample bit for bit.
 
     def cpu_sample_batch(
         self, kernel, dims_list: Sequence[Dims], precision, iterations,
         alpha=1.0, beta=0.0,
-    ) -> List[PerfSample]:
+    ) -> Column:
         seconds = self.model.cpu_time_batch(
             dims_list, precision, iterations, alpha=alpha, beta=beta)
-        return _build_samples(
-            DeviceKind.CPU, None, kernel, dims_list, iterations, seconds,
-            beta,
+        return _column(
+            DeviceKind.CPU, None, kernel, dims_list, iterations, seconds, beta
         )
 
     def gpu_sample_batch(
         self, kernel, dims_list: Sequence[Dims], precision, iterations,
         transfer, alpha=1.0, beta=0.0,
-    ) -> Optional[List[PerfSample]]:
+    ) -> Optional[Column]:
         if not self.model.has_gpu:
             return None
         seconds = self.model.gpu_time_batch(
             dims_list, precision, iterations, transfer, alpha=alpha, beta=beta)
-        return _build_samples(
+        return _column(
             DeviceKind.GPU, transfer, kernel, dims_list, iterations, seconds,
             beta,
         )
 
 
-def _build_samples(
+def _column(
     device, transfer, kernel, dims_list, iterations, seconds, beta,
-) -> List[PerfSample]:
+) -> Column:
     """Batch twin of :meth:`PerfSample.from_seconds`: the GFLOP/s rates
     vectorize (flop counts and the iterations product stay < 2**53, so
     the float64 division matches the scalar arithmetic bit-for-bit)."""
-    import numpy as np
-
-    from ..core.flops import dims_columns, flops_for_batch
-
     m, n, k = dims_columns(dims_list)
+    seconds = np.asarray(seconds, dtype=np.float64)
     flops = flops_for_batch(kernel, m, n, k, beta)
     with np.errstate(divide="ignore"):
         gflops = np.where(
             seconds > 0, iterations * flops / seconds / 1e9, 0.0
         )
-    return [
-        PerfSample(device, transfer, dims, iterations, float(s), float(g),
-                   True)
-        for dims, s, g in zip(dims_list, seconds, gflops)
-    ]
+    checks = np.ones(len(seconds), dtype=np.int8)  # vacuously OK
+    return Column(device, transfer, iterations, m, n, k, seconds, gflops,
+                  checks)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from ..types import DeviceKind, Dims, TransferType
 from .records import PerfSample, ProblemSeries
@@ -23,8 +23,8 @@ __all__ = [
     "QUARANTINE_FILENAME",
     "read_samples",
     "read_run_dir",
-    "sample_row",
     "series_filename",
+    "series_rows",
     "write_quarantine",
     "write_run",
     "write_series",
@@ -44,42 +44,30 @@ def series_filename(series: ProblemSeries) -> str:
     return f"{blas}_{series.ident}_i{series.iterations}.csv"
 
 
-def _row(sample: PerfSample, kernel: str, ident: str) -> tuple:
-    """The cells of one sample's CSV row, in :data:`FIELDNAMES` order."""
-    return (
-        sample.device.value,
-        sample.transfer.value if sample.transfer else "",
-        kernel,
-        ident,
-        sample.dims.m,
-        sample.dims.n,
-        sample.dims.k,
-        sample.iterations,
-        repr(sample.seconds),
-        repr(sample.gflops),
-        "" if sample.checksum_ok is None else int(sample.checksum_ok),
-    )
-
-
-def sample_row(sample: PerfSample, series: ProblemSeries) -> dict:
-    """One sample as the exact cell strings :func:`write_series` emits.
-
-    ``csv.writer`` stringifies every value on the way out, so this is
-    the byte-level contract of a CSV row — the serving daemon reuses it
-    for its ``series`` payloads, which keeps a cached API response
-    byte-identical to the CLI's CSV output.
-    """
-    row = _row(sample, series.kernel.value, series.ident)
-    return dict(zip(FIELDNAMES, map(str, row)))
+def series_rows(series: ProblemSeries) -> Iterator[tuple]:
+    """The cells of each CSV row of ``series`` in :data:`FIELDNAMES`
+    order, column by column.  ``csv.writer`` stringifies every cell, so
+    their ``str`` is the byte-level contract of a row: the serving
+    daemon builds its ``series`` payloads from these rows, which keeps a
+    cached API response byte-identical to the CLI's CSV output."""
+    kernel, ident = series.kernel.value, series.ident
+    for col in series.columns():
+        fixed = (col.device.value, col.transfer.value if col.transfer else "",
+                 kernel, ident)
+        for m, n, k, seconds, gflops, check in zip(*(
+            getattr(col, f).tolist()
+            for f in ("m", "n", "k", "seconds", "gflops", "checks")
+        )):
+            yield (*fixed, m, n, k, col.iterations, repr(seconds),
+                   repr(gflops), "" if check < 0 else check)
 
 
 def write_series(series: ProblemSeries, path) -> Path:
     path = Path(path)
-    kernel, ident = series.kernel.value, series.ident
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(FIELDNAMES)
-        writer.writerows(_row(s, kernel, ident) for s in series.samples)
+        writer.writerows(series_rows(series))
     return path
 
 

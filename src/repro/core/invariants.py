@@ -40,8 +40,12 @@ import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import ModelInvariantError, ModelInvariantWarning
 from ..types import DeviceKind, Precision, TransferType
+from .flops import d2h_bytes, d2h_bytes_batch, h2d_bytes, h2d_bytes_batch
+from .records import Column
 
 __all__ = [
     "QUIRK_SLACK",
@@ -184,8 +188,6 @@ def _check_one(sample, precision: Precision, ctx: InvariantContext
     if spec is None:
         return None
     if sample.device is DeviceKind.GPU and sample.transfer is not None:
-        from .flops import d2h_bytes, h2d_bytes
-
         up = h2d_bytes(sample.dims, precision)
         down = d2h_bytes(sample.dims, precision)
         if sample.transfer is TransferType.ALWAYS:
@@ -224,45 +226,27 @@ def check_samples(
     return out
 
 
-#: Column length above which the guard vectorizes its checks.
-_BATCH_THRESHOLD = 32
-
-
-def _check_column(samples: Sequence, precision: Precision,
+def _check_column(column: Column, precision: Precision,
                   ctx: InvariantContext):
-    """Vectorized twin of :func:`_check_one` for one *uniform*
-    (device, transfer, iterations) column — the shape the runner's fast
-    path produces.  Returns indices of violating samples; the caller
-    re-checks only those scalarly for the violation message.
+    """Vectorized twin of :func:`_check_one` over one column.  Returns
+    the rows of violating cells; the caller re-checks only those
+    scalarly for the violation message.
     """
-    import numpy as np
-
-    count = len(samples)
-    seconds = np.fromiter(
-        (s.seconds for s in samples), dtype=np.float64, count=count
-    )
-    gflops = np.fromiter(
-        (s.gflops for s in samples), dtype=np.float64, count=count
-    )
+    seconds, gflops = column.seconds, column.gflops
     bad = (
         ~np.isfinite(seconds) | (seconds <= 0.0)
         | ~np.isfinite(gflops) | (gflops < 0.0)
     )
     spec = ctx.spec
     if spec is not None:
-        first = samples[0]
         peak = None
-        if first.device is DeviceKind.GPU and first.transfer is not None:
-            from .flops import d2h_bytes_batch, h2d_bytes_batch
-
-            kernel = first.dims.kernel
-            m = np.fromiter((s.dims.m for s in samples), np.int64, count=count)
-            n = np.fromiter((s.dims.n for s in samples), np.int64, count=count)
-            k = np.fromiter((s.dims.k for s in samples), np.int64, count=count)
+        if column.device is DeviceKind.GPU and column.transfer is not None:
+            kernel = column.dims_at(0).kernel
+            m, n, k = column.m, column.n, column.k
             up = h2d_bytes_batch(kernel, m, n, k, precision)
             down = d2h_bytes_batch(kernel, m, n, k, precision)
-            if first.transfer is TransferType.ALWAYS:
-                up, down = up * first.iterations, down * first.iterations
+            if column.transfer is TransferType.ALWAYS:
+                up, down = up * column.iterations, down * column.iterations
             floor = np.maximum(up, down) / (spec.link.bw_gbs * 1e9)
             with np.errstate(invalid="ignore"):
                 bad |= seconds < floor * ctx.time_slack
@@ -275,40 +259,31 @@ def _check_column(samples: Sequence, precision: Precision,
     return np.nonzero(bad)[0]
 
 
-def _is_uniform_column(samples: Sequence) -> bool:
-    first = samples[0]
-    device, transfer, iterations = first.device, first.transfer, first.iterations
-    return all(
-        s is not None
-        and s.device is device
-        and s.transfer is transfer
-        and s.iterations == iterations
-        for s in samples
-    )
-
-
 def guard_samples(
-    samples: Sequence,
+    samples: Column | Sequence,
     precision: Precision,
     ctx: InvariantContext,
     strict: bool,
 ) -> None:
     """Enforce the invariants on freshly produced samples.
 
+    ``samples`` is a :class:`~repro.core.records.Column` (the batch
+    path, checked in one NumPy shot) or a sequence of per-cell samples
+    (checked one at a time, with no NumPy call: a DES cell costs about a
+    millisecond, and the array form would add some 50 µs to each).
     Strict mode raises :class:`ModelInvariantError` on the first
     violation; the default mode emits one
     :class:`ModelInvariantWarning` per violating sample and keeps it.
-    Long uniform columns (the vectorized fast path's shape) are checked
-    in one NumPy shot so the guard stays off the critical path.
     """
-    if len(samples) >= _BATCH_THRESHOLD and _is_uniform_column(samples):
-        flagged = [samples[i] for i in _check_column(samples, precision, ctx)]
-        if not flagged:
+    if isinstance(samples, Column):
+        if not len(samples):
             return
-        violations = check_samples(flagged, precision, ctx)
-    else:
-        violations = check_samples(samples, precision, ctx)
-    for sample, reason in violations:
+        rows = _check_column(samples, precision, ctx)
+        if not len(rows):
+            return
+        cells = samples.samples()
+        samples = [cells[i] for i in rows]
+    for sample, reason in check_samples(samples, precision, ctx):
         message = f"model invariant violated at {sample.dims}: {reason}"
         if strict:
             raise ModelInvariantError(message)

@@ -1,11 +1,11 @@
-"""Run records: one timed sample and one per-problem-type series, and
-the column codec that carries series across processes and onto disk."""
+"""Run records: one timed sample, the column arrays of one (device,
+transfer) sweep, one per-problem-type series of columns, and the codec
+that carries series across processes and onto disk."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -14,8 +14,8 @@ from .flops import flops_for
 from .problem import ProblemType, get_problem_type
 
 __all__ = [
-    "PerfSample", "ProblemSeries", "QuarantineEntry", "decode_series",
-    "encode_series", "sample_from_record",
+    "Column", "PerfSample", "ProblemSeries", "QuarantineEntry",
+    "decode_series", "encode_series", "sample_from_record",
 ]
 
 
@@ -26,8 +26,9 @@ class PerfSample:
     ``seconds`` is the total wall time over all iterations; ``gflops``
     is the aggregate rate ``iterations * flops / seconds``.
 
-    Slotted: full-range sweeps hold hundreds of thousands of samples,
-    and construction sits on the vectorized fast path's critical loop.
+    The unit of the per-cell path (DES, host, fault-injected and
+    checkpoint-replayed cells) and the per-cell view of a
+    :class:`Column`; batch backends never build one.
     """
 
     device: DeviceKind
@@ -91,22 +92,139 @@ class QuarantineEntry:
         )
 
 
-@dataclass
+#: int8 code of each ``checksum_ok`` value in the check column, and back
+_CHECK_CODE = {None: -1, False: 0, True: 1}
+_CHECK_VALUE = {code: value for value, code in _CHECK_CODE.items()}
+
+#: the array fields of a :class:`Column`
+_ARRAYS = ("m", "n", "k", "seconds", "gflops", "checks")
+
+
+def _require(values: list, types: tuple, what: str) -> list:
+    """``values``, or ValueError when one is not of ``types`` (an int
+    second would come back a float, a float dim truncated)."""
+    if not set(map(type, values)) <= set(types):
+        raise ValueError(f"the column layout cannot hold a non-{what} value")
+    return values
+
+
+@dataclass(frozen=True, eq=False)
+class Column:
+    """The cells of one (device, transfer) sweep column as parallel
+    arrays: int64 ``m``, ``n``, ``k``; float64 ``seconds`` and
+    ``gflops``; int8 ``checks`` (-1 unknown, 0 failed, 1 passed).
+    Equality is bit for bit: -0.0 is not 0.0, and a NaN equals only the
+    same NaN payload."""
+
+    device: DeviceKind
+    transfer: Optional[TransferType]
+    iterations: int
+    m: np.ndarray
+    n: np.ndarray
+    k: np.ndarray
+    seconds: np.ndarray
+    gflops: np.ndarray
+    checks: np.ndarray
+
+    @classmethod
+    def from_samples(cls, device, transfer, iterations,
+                     samples: Sequence[PerfSample]) -> "Column":
+        """The one place where per-cell samples become a column.  Raises
+        ValueError for a sample of another device, transfer or iteration
+        count than the column's, or a value of another type than its
+        field declares."""
+        cell = (device, transfer, iterations)
+        if any((s.device, s.transfer, s.iterations) != cell for s in samples):
+            raise ValueError(f"a sample in the {device.value}/{transfer} "
+                             "column has another device, transfer or "
+                             "iteration count")
+        dims = [v for s in samples for v in (s.dims.m, s.dims.n, s.dims.k)]
+        try:
+            dims = np.array(_require(dims, (int,), "int dim"),
+                            dtype=np.int64).reshape(-1, 3)
+        except OverflowError:
+            raise ValueError("a dim does not fit in int64") from None
+        seconds, gflops = (
+            np.array(_require([getattr(s, f) for s in samples], (float,),
+                              "float"), dtype=np.float64)
+            for f in ("seconds", "gflops")
+        )
+        checks = _require([s.checksum_ok for s in samples],
+                          (bool, type(None)), "bool checksum")
+        return cls(device, transfer, iterations, *dims.T, seconds, gflops,
+                   np.array([_CHECK_CODE[c] for c in checks], dtype=np.int8))
+
+    def __len__(self) -> int:
+        return len(self.seconds)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Column):
+            return NotImplemented
+        return (self.device, self.transfer, self.iterations) == (
+            other.device, other.transfer, other.iterations
+        ) and all(getattr(self, f).tobytes() == getattr(other, f).tobytes()
+                  for f in _ARRAYS)
+
+    def same_sizes(self, other: "Column") -> bool:
+        """Whether both columns sample the same dims in the same order."""
+        return len(self) == len(other) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in "mnk"
+        )
+
+    def dims_at(self, row: int) -> Dims:
+        return Dims(int(self.m[row]), int(self.n[row]), int(self.k[row]))
+
+    def samples(self) -> List[PerfSample]:
+        """Every cell as a :class:`PerfSample`: the per-cell view."""
+        cell = (self.device, self.transfer)
+        return [
+            PerfSample(*cell, Dims(m, n, k), self.iterations, s, g,
+                       _CHECK_VALUE[c])
+            for m, n, k, s, g, c in zip(
+                *(getattr(self, f).tolist() for f in _ARRAYS))
+        ]
+
+
+@dataclass(eq=False)
 class ProblemSeries:
-    """All samples of one (kernel, problem type, precision, iterations)
-    sweep, grouped by device and transfer paradigm.
+    """One (kernel, problem type, precision, iterations) sweep: the CPU
+    column (empty if ``None`` is given) and one GPU column per transfer
+    paradigm, in insertion order.
 
     ``partial`` is set by the resilient runner when the sweep could not
     fill every requested cell — quarantined samples or device loss —
     so downstream consumers can distrust thresholds over gaps.
+    Equality compares every column bit for bit, in column order.
     """
 
     problem_type: ProblemType
     precision: Precision
     iterations: int
-    cpu: List[PerfSample] = field(default_factory=list)
-    gpu: Dict[TransferType, List[PerfSample]] = field(default_factory=dict)
+    cpu: Optional[Column] = None
+    gpu: Dict[Optional[TransferType], Column] = field(default_factory=dict)
     partial: bool = False
+
+    def __post_init__(self) -> None:
+        if self.cpu is None:
+            self.cpu = Column.from_samples(DeviceKind.CPU, None,
+                                           self.iterations, ())
+
+    @classmethod
+    def from_samples(cls, problem_type, precision, iterations,
+                     samples: Iterable[PerfSample]) -> "ProblemSeries":
+        """The series of per-cell samples: a GPU column per transfer in
+        first-seen order, each list converted once."""
+        cpu: List[PerfSample] = []
+        gpu: Dict[Optional[TransferType], List[PerfSample]] = {}
+        for s in samples:
+            if s.device is DeviceKind.GPU:
+                gpu.setdefault(s.transfer, []).append(s)
+            else:
+                cpu.append(s)
+        return cls(problem_type, precision, iterations,
+                   Column.from_samples(DeviceKind.CPU, None, iterations, cpu),
+                   {t: Column.from_samples(DeviceKind.GPU, t, iterations, col)
+                    for t, col in gpu.items()})
 
     @property
     def kernel(self) -> Kernel:
@@ -116,55 +234,28 @@ class ProblemSeries:
     def ident(self) -> str:
         return self.problem_type.ident
 
-    def add(self, sample: PerfSample) -> None:
-        if sample.device is DeviceKind.CPU:
-            self.cpu.append(sample)
-        else:
-            self.gpu.setdefault(sample.transfer, []).append(sample)
-
-    def cpu_samples(self) -> List[PerfSample]:
-        return list(self.cpu)
-
-    def gpu_samples(self, transfer: TransferType) -> List[PerfSample]:
-        return list(self.gpu.get(transfer, []))
-
-    def transfers(self) -> tuple:
-        return tuple(self.gpu.keys())
-
     def transfer_types(self) -> tuple:
-        return tuple(self.gpu.keys())
+        return tuple(self.gpu)
 
-    @property
-    def samples(self) -> List[PerfSample]:
-        """Every sample in a deterministic order (CPU first, then GPU
-        per transfer paradigm in insertion order)."""
-        return self.all_samples()
-
-    def sizes(self) -> List[Dims]:
-        source = self.cpu or next(iter(self.gpu.values()), [])
-        return [s.dims for s in source]
+    def columns(self) -> List[Column]:
+        """The CPU column, then each GPU column in insertion order."""
+        return [self.cpu, *self.gpu.values()]
 
     def all_samples(self) -> List[PerfSample]:
-        out = list(self.cpu)
-        for samples in self.gpu.values():
-            out.extend(samples)
-        return out
+        """Every cell as a :class:`PerfSample`, in :meth:`columns` order."""
+        return [s for column in self.columns() for s in column.samples()]
+
+    def _identity(self) -> tuple:
+        return (self.problem_type, self.precision, self.iterations,
+                self.partial, list(self.gpu), self.columns())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProblemSeries):
+            return NotImplemented
+        return self._identity() == other._identity()
 
 
 # -- the column codec ---------------------------------------------------
-
-#: int8 code of each ``checksum_ok`` value in the check column, and back
-_CHECK_CODE = {None: -1, False: 0, True: 1}
-_CHECK_VALUE = {code: value for value, code in _CHECK_CODE.items()}
-
-
-def _require(values: list, types: tuple, what: str) -> list:
-    """``values`` unchanged, or ValueError when one is not of ``types``
-    (an int in a float column would come back a float, a float dim would
-    be truncated: the layout must refuse, never alter)."""
-    if not set(map(type, values)) <= set(types):
-        raise ValueError(f"the column layout cannot hold a non-{what} value")
-    return values
 
 
 def encode_series(
@@ -173,38 +264,23 @@ def encode_series(
     """Column metadata per series plus one little-endian byte string.
 
     Each series is one CPU column and one column per GPU transfer, in
-    ``samples`` order.  The bytes are four arrays, every series in turn
-    within each: int64 dims ``(D, 3)`` | float64 seconds ``(N,)`` |
-    float64 gflops ``(N,)`` | int8 checksum codes ``(N,)`` (-1 None,
-    0 False, 1 True).  Floats travel as raw bits, so a decoded series is
+    :meth:`ProblemSeries.columns` order.  The bytes are four arrays,
+    every series in turn within each: int64 dims ``(D, 3)`` | float64
+    seconds ``(N,)`` | float64 gflops ``(N,)`` | int8 checksum codes
+    ``(N,)``.  Floats travel as raw bits, so a decoded series is
     bit-identical.  When every column of a series samples the same dims
-    sequence — a full sweep — its dims are stored once
-    (``shared_dims``), else once per sample.
-
-    Raises ValueError for a series the layout cannot hold: a sample
-    whose device, transfer or iteration count differs from its
-    column's, or a value of another type than the field declares.
+    — a full sweep — its dims are stored once (``shared_dims``), else
+    once per sample.
     """
     metas: List[dict] = []
-    dims: List[Dims] = []
-    samples: List[PerfSample] = []
+    dims = [np.empty((0, 3), dtype=np.int64)]
+    every_column: List[Column] = []
     for series in series_list:
-        columns = [(DeviceKind.CPU, None, series.cpu)]
-        columns += [(DeviceKind.GPU, t, col) for t, col in series.gpu.items()]
-        col_dims = []
-        for device, transfer, col in columns:
-            cell = (device, transfer, series.iterations)
-            if any((s.device, s.transfer, s.iterations) != cell for s in col):
-                raise ValueError(
-                    f"a sample in the {device.value}/{transfer} column of "
-                    f"{series.ident} has another device, transfer or "
-                    "iteration count"
-                )
-            col_dims.append([s.dims for s in col])
-            samples.extend(col)
-        # list == compares identity first: the batch path shares Dims
-        shared = all(d == col_dims[0] for d in col_dims[1:])
-        dims.extend(col_dims[0] if shared else chain.from_iterable(col_dims))
+        columns = series.columns()
+        shared = all(columns[0].same_sizes(col) for col in columns[1:])
+        dims += [np.stack((c.m, c.n, c.k), axis=1)
+                 for c in (columns[:1] if shared else columns)]
+        every_column += columns
         metas.append({
             "kernel": series.kernel.value,
             "ident": series.ident,
@@ -218,30 +294,20 @@ def encode_series(
                 for t, col in series.gpu.items()
             ],
         })
-    ints = _require(
-        [v for d in dims for v in (d.m, d.n, d.k)], (int,), "int dim"
-    )
-    seconds = _require([s.seconds for s in samples], (float,), "float")
-    gflops = _require([s.gflops for s in samples], (float,), "float")
-    checks = _require(
-        [s.checksum_ok for s in samples], (bool, type(None)), "bool checksum"
-    )
-    try:
-        arrays = (
-            np.array(ints, dtype="<i8"),
-            np.array(seconds, dtype="<f8"),
-            np.array(gflops, dtype="<f8"),
-            np.array([_CHECK_CODE[c] for c in checks], dtype="i1"),
-        )
-    except OverflowError:
-        raise ValueError("a dim does not fit in int64") from None
+    arrays = [np.concatenate(dims).astype("<i8", copy=False)] + [
+        np.concatenate([np.empty(0, dtype)]
+                       + [getattr(c, f) for c in every_column])
+        .astype(dtype, copy=False)
+        for f, dtype in (("seconds", "<f8"), ("gflops", "<f8"), ("checks", "i1"))
+    ]
     return metas, b"".join(a.tobytes() for a in arrays)
 
 
 def decode_series(metas: Sequence[dict], data) -> List[ProblemSeries]:
-    """Inverse of :func:`encode_series`.  Raises ``KeyError``,
-    ``TypeError`` or ``ValueError`` when the metadata and the bytes do
-    not describe each other."""
+    """Inverse of :func:`encode_series`: each column's arrays are slices
+    of ``data``, not copies.  Raises ``KeyError``, ``TypeError`` or
+    ``ValueError`` when the metadata and the bytes do not describe each
+    other."""
     layout = []
     total_dims = total = 0
     for meta in metas:
@@ -262,47 +328,37 @@ def decode_series(metas: Sequence[dict], data) -> List[ProblemSeries]:
             f"{len(data)} bytes do not match {total_dims} dims and "
             f"{total} samples"
         )
-    flat = np.frombuffer(data, dtype="<i8", count=total_dims * 3)
-    m, n, k = (flat[i::3].tolist() for i in range(3))
+    dims = np.frombuffer(data, "<i8", total_dims * 3).reshape(-1, 3)
     offset = total_dims * 24
-    seconds = np.frombuffer(data, "<f8", total, offset).tolist()
-    gflops = np.frombuffer(data, "<f8", total, offset + total * 8).tolist()
-    checks = [
-        _CHECK_VALUE[c]
-        for c in np.frombuffer(data, "i1", total, offset + total * 16).tolist()
-    ]
+    seconds = np.frombuffer(data, "<f8", total, offset)
+    gflops = np.frombuffer(data, "<f8", total, offset + total * 8)
+    checks = np.frombuffer(data, "i1", total, offset + total * 16)
+    if ((checks < -1) | (checks > 1)).any():
+        raise KeyError("a checksum code outside -1/0/1")
 
     out: List[ProblemSeries] = []
     d0 = row = 0
     for meta, gpu, counts, shared, n_dims in layout:
         iterations = int(meta["iterations"])
-        series = ProblemSeries(
+        slots = [(DeviceKind.CPU, None)]
+        slots += [(DeviceKind.GPU, t) for t, _ in gpu]
+        columns = []
+        start = d0
+        for (device, transfer), count in zip(slots, counts):
+            end = row + count
+            columns.append(Column(
+                device, transfer, iterations, *dims[start:start + count].T,
+                seconds[row:end], gflops[row:end], checks[row:end],
+            ))
+            start += 0 if shared else count
+            row = end
+        d0 += n_dims
+        out.append(ProblemSeries(
             problem_type=get_problem_type(Kernel(meta["kernel"]), meta["ident"]),
             precision=Precision(meta["precision"]),
             iterations=iterations,
+            cpu=columns[0],
+            gpu={t: col for (_, t), col in zip(slots[1:], columns[1:])},
             partial=bool(meta["partial"]),
-        )
-        d1 = d0 + n_dims
-        dims = list(map(Dims, m[d0:d1], n[d0:d1], k[d0:d1]))
-        d0 = d1
-        cells = [(DeviceKind.CPU, None)]
-        cells += [(DeviceKind.GPU, t) for t, _ in gpu]
-        start = 0
-        for (device, transfer), count in zip(cells, counts):
-            end = row + count
-            col_dims = dims if shared else dims[start:start + count]
-            start += count
-            column = [
-                PerfSample(device, transfer, d, iterations, s, g, c)
-                for d, s, g, c in zip(
-                    col_dims, seconds[row:end], gflops[row:end],
-                    checks[row:end],
-                )
-            ]
-            row = end
-            if device is DeviceKind.CPU:
-                series.cpu = column
-            else:
-                series.gpu[transfer] = column
-        out.append(series)
+        ))
     return out

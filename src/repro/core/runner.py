@@ -9,22 +9,20 @@ detector and all tables/figures consume.
 Three execution strategies exist, all producing bit-identical results:
 
 * the classic per-cell loop (the reference path — always correct, and
-  the only path under fault injection);
+  the only path under fault injection): each cell's
+  :class:`~repro.core.records.PerfSample` goes onto one list, which
+  becomes the series' columns once, when the series ends;
 * a **vectorized fast path**: when no fault injector wraps the backend
   and the backend exposes ``cpu_sample_batch``/``gpu_sample_batch``
-  (the analytic backend does), every (device, transfer) column of a
-  series is evaluated in one NumPy shot;
-* a **parallel executor**: ``run_sweep(..., jobs=N)`` shards the
-  (problem type, precision) series across a persistent *warm* process
-  pool (:mod:`repro.core.workerpool` — spawned once, reused across
-  sweeps) and merges the results in deterministic series order.  Each
-  worker runs the vectorized fast path over its whole shard and returns
-  samples through a shared-memory segment instead of pickled lists.
-  Each worker journals to its own checkpoint shard, merged into the
-  single JSONL journal when the pool drains.  The runner falls back to
-  in-process execution when ``jobs=1``, when faults are enabled, or
-  when the backend/config cannot be pickled (the DES engine stays
-  serial *within* a series, but series still parallelize).
+  (the analytic backend does), each (device, transfer) column of a
+  series is one batch call that returns the column's arrays;
+* a **parallel executor**: ``run_sweep(..., jobs=N)`` shards the series
+  across the persistent warm process pool (:mod:`repro.core.workerpool`)
+  and merges them in series order.  Each worker returns its series'
+  codec bytes through a shared-memory segment and journals to its own
+  checkpoint shard, merged when the pool drains.  It is skipped for
+  ``jobs=1``, under faults, or when the backend or config cannot be
+  pickled (the DES engine stays serial *within* a series).
 
 With ``cache_dir=`` the runner keys a content-addressed result store on
 the checkpoint config fingerprint plus the backend's ``cache_token``;
@@ -69,12 +67,13 @@ from ..errors import (
     SampleTimeoutError,
 )
 from ..faults.checkpoint import (
+    _KEY_FIELDS,
     CheckpointReader,
     CheckpointWriter,
     sample_key,
 )
 from ..faults.injector import FaultInjector
-from ..types import DeviceKind, Dims, Kernel, Precision, TransferType
+from ..types import DeviceKind, Kernel, Precision, TransferType
 from .config import RunConfig
 from .invariants import (
     InvariantContext,
@@ -88,6 +87,7 @@ from .records import (
     QuarantineEntry,
     decode_series,
     encode_series,
+    sample_from_record,
 )
 from .threshold import ThresholdResult, threshold_for_series
 
@@ -597,36 +597,39 @@ def _run_series(
     done: Dict[tuple, PerfSample],
     quarantined_keys: set,
 ) -> ProblemSeries:
-    """Fill one (problem type, precision) series, batched when possible."""
-    series = ProblemSeries(
-        problem_type=problem_type,
-        precision=precision,
-        iterations=config.iterations,
+    """Fill one (problem type, precision) series, batched when possible.
+
+    The per-cell path appends each cell's sample to one list and turns
+    it into columns once, when the series ends.
+    """
+    batched = state.can_batch() and _run_series_batched(
+        state, done, quarantined_keys, problem_type, precision, config,
+        transfers,
     )
-    missing: Optional[int] = None
-    if state.can_batch():
-        missing = _run_series_batched(
-            state, series, done, quarantined_keys, problem_type, precision,
-            config, transfers,
-        )
-    if missing is None:
+    if batched:
+        series, missing = batched
+    else:
         missing = 0
+        samples: List[PerfSample] = []
         for p in config.sweep_params(problem_type):
             dims = problem_type.dims_at(p)
             if config.cpu_enabled:
                 _run_cell(
-                    state, series, done, quarantined_keys,
+                    state, samples, done, quarantined_keys,
                     problem_type, precision, config,
                     DeviceKind.CPU, None, dims,
                 )
             for transfer in transfers:
                 status = _run_cell(
-                    state, series, done, quarantined_keys,
+                    state, samples, done, quarantined_keys,
                     problem_type, precision, config,
                     DeviceKind.GPU, transfer, dims,
                 )
                 if status == "lost":
                     missing += 1
+        series = ProblemSeries.from_samples(
+            problem_type, precision, config.iterations, samples
+        )
     quarantined_here = any(
         e.kernel is series.kernel
         and e.ident == series.ident
@@ -639,14 +642,13 @@ def _run_series(
 
 def _run_series_batched(
     state: _SweepState,
-    series: ProblemSeries,
     done: Dict[tuple, PerfSample],
     quarantined_keys: set,
     problem_type,
     precision: Precision,
     config: RunConfig,
     transfers: Tuple[TransferType, ...],
-) -> Optional[int]:
+) -> Optional[Tuple[ProblemSeries, int]]:
     """Vectorized evaluation of one series, column by column.
 
     Every (device, transfer) column is partitioned into replayed,
@@ -655,66 +657,32 @@ def _run_series_batched(
     the series or the journal is touched, so a batch failure leaves no
     partial state behind — the caller falls back to the per-cell
     reference path (returns ``None``) and retries there.  Returns the
-    count of device-lost cells otherwise.
+    series and its count of device-lost cells otherwise.
     """
     dims_all = [
         problem_type.dims_at(p) for p in config.sweep_params(problem_type)
     ]
-    columns = []
-    if config.cpu_enabled:
-        columns.append((DeviceKind.CPU, None))
-    columns.extend((DeviceKind.GPU, t) for t in transfers)
-
-    backend = state.backend
+    columns = [(DeviceKind.CPU, None)] if config.cpu_enabled else []
+    columns += [(DeviceKind.GPU, t) for t in transfers]
     # Common case — nothing to replay, skip, or journal: per-cell key
     # construction and classification are pure overhead, so each column
-    # is one batch call appended wholesale.
-    if (
-        not done
-        and not quarantined_keys
-        and not state.gpu_lost
-        and state.writer is None
-    ):
-        fresh_columns = []
-        try:
-            for device, transfer in columns:
-                if device is DeviceKind.CPU:
-                    fresh = backend.cpu_sample_batch(
-                        problem_type.kernel, dims_all, precision,
-                        config.iterations, config.alpha, config.beta,
-                    )
-                else:
-                    fresh = backend.gpu_sample_batch(
-                        problem_type.kernel, dims_all, precision,
-                        config.iterations, transfer, config.alpha,
-                        config.beta,
-                    )
-                if fresh is None or len(fresh) != len(dims_all):
-                    return None
-                fresh_columns.append((device, transfer, fresh))
-        except Exception:
-            return None
-        for device, transfer, fresh in fresh_columns:
-            state.guard(fresh, precision)
-            _extend_column(series, device, transfer, fresh)
-            if state.result.degraded:
-                state.result.stats.fallback_samples += len(fresh)
-        return 0
-
-    evaluated = []
+    # is one batch call over every size, kept as the series' column.
+    plain = not (done or quarantined_keys or state.gpu_lost) and (
+        state.writer is None
+    )
     # Keys are built inline (same layout as ``sample_key``) with the
     # enum values hoisted: per-cell enum attribute lookups were a
     # measurable slice of the fast path's runtime.
     kernel_v, ident_v = problem_type.kernel.value, problem_type.ident
     precision_v, iterations_v = precision.value, config.iterations
+    evaluated = []  # per column: (cells, fresh column, fresh keys)
     try:
         for device, transfer in columns:
+            cells = []  # per sweep param: (kind, payload)
+            fresh_dims, fresh_keys = (dims_all if plain else []), []
             device_v = device.value
             transfer_v = transfer.value if transfer else None
-            cells = []  # per sweep param: (kind, payload)
-            fresh_dims: List = []
-            fresh_keys: List[tuple] = []
-            for dims in dims_all:
+            for dims in () if plain else dims_all:
                 key = (
                     kernel_v, ident_v, precision_v, device_v, transfer_v,
                     dims.m, dims.n, dims.k, iterations_v,
@@ -729,22 +697,21 @@ def _run_series_batched(
                     cells.append(("fresh", len(fresh_dims)))
                     fresh_dims.append(dims)
                     fresh_keys.append(key)
-            if fresh_dims:
+            fresh = None
+            if plain or fresh_dims:
                 if device is DeviceKind.CPU:
-                    fresh = backend.cpu_sample_batch(
+                    fresh = state.backend.cpu_sample_batch(
                         problem_type.kernel, fresh_dims, precision,
                         config.iterations, config.alpha, config.beta,
                     )
                 else:
-                    fresh = backend.gpu_sample_batch(
+                    fresh = state.backend.gpu_sample_batch(
                         problem_type.kernel, fresh_dims, precision,
                         config.iterations, transfer, config.alpha,
                         config.beta,
                     )
                 if fresh is None or len(fresh) != len(fresh_dims):
                     return None
-            else:
-                fresh = []
             evaluated.append((cells, fresh, fresh_keys))
     except Exception:
         return None
@@ -752,38 +719,40 @@ def _run_series_batched(
     # Invariant-check every fresh column before the series or journal
     # is touched: a strict-mode rejection leaves no partial state.
     for _cells, fresh, _keys in evaluated:
-        state.guard(fresh, precision)
+        if fresh is not None:
+            state.guard(fresh, precision)
 
-    missing = 0
     stats = state.result.stats
+    if plain:
+        fresh = [fresh for _cells, fresh, _keys in evaluated]
+        if state.result.degraded:
+            stats.fallback_samples += sum(map(len, fresh))
+        cpu = fresh.pop(0) if config.cpu_enabled else None
+        gpu = {col.transfer: col for col in fresh}
+        return ProblemSeries(
+            problem_type, precision, config.iterations, cpu, gpu
+        ), 0
+    missing = 0
+    samples: List[PerfSample] = []
     for (cells, fresh, fresh_keys) in evaluated:
+        fresh_samples = fresh.samples() if fresh is not None else []
         for kind, payload in cells:
             if kind == "replay":
-                series.add(payload)
+                samples.append(payload)
                 stats.resumed_samples += 1
             elif kind == "lost":
                 missing += 1
             elif kind == "fresh":
-                sample = fresh[payload]
-                series.add(sample)
+                sample = fresh_samples[payload]
+                samples.append(sample)
                 if state.writer is not None:
                     state.writer.sample(fresh_keys[payload], sample)
                 if state.result.degraded:
                     stats.fallback_samples += 1
-    return missing
-
-
-def _extend_column(
-    series: ProblemSeries,
-    device: DeviceKind,
-    transfer: Optional[TransferType],
-    samples: List[PerfSample],
-) -> None:
-    """Bulk :meth:`ProblemSeries.add` of one (device, transfer) column."""
-    if device is DeviceKind.CPU:
-        series.cpu.extend(samples)
-    else:
-        series.gpu.setdefault(transfer, []).extend(samples)
+    series = ProblemSeries.from_samples(
+        problem_type, precision, config.iterations, samples
+    )
+    return series, missing
 
 
 def _picklable(obj) -> bool:
@@ -807,19 +776,13 @@ def _encode_done(done_sub: Dict[tuple, PerfSample]) -> list:
 
 
 def _decode_done(rows: list) -> Dict[tuple, PerfSample]:
-    out: Dict[tuple, PerfSample] = {}
-    for key, seconds, gflops, checksum_ok in rows:
-        _kernel, _ident, _precision, device_v, transfer_v, m, n, k, its = key
-        out[key] = PerfSample(
-            device=DeviceKind(device_v),
-            transfer=TransferType(transfer_v) if transfer_v else None,
-            dims=Dims(m, n, k),
-            iterations=its,
-            seconds=seconds,
-            gflops=gflops,
+    return {
+        key: sample_from_record(dict(
+            zip(_KEY_FIELDS, key), seconds=seconds, gflops=gflops,
             checksum_ok=checksum_ok,
-        )
-    return out
+        ))
+        for key, seconds, gflops, checksum_ok in rows
+    }
 
 
 def _pack_shard_result(series: ProblemSeries, result: RunResult) -> tuple:
@@ -829,8 +792,8 @@ def _pack_shard_result(series: ProblemSeries, result: RunResult) -> tuple:
 
     The segment is unregistered from the worker's resource tracker —
     ownership transfers to the parent, which copies and unlinks it.  Any
-    trouble (no shm support, an empty series, a series the codec
-    refuses) falls back to returning the pickled series.
+    trouble (no shm support, an empty series) falls back to returning
+    the pickled series.
     """
     try:
         from multiprocessing import resource_tracker, shared_memory
@@ -1184,7 +1147,7 @@ def _run_parallel(
 
 def _run_cell(
     state: _SweepState,
-    series: ProblemSeries,
+    samples: List[PerfSample],
     done: Dict[tuple, PerfSample],
     quarantined_keys: set,
     problem_type,
@@ -1194,7 +1157,7 @@ def _run_cell(
     transfer: Optional[TransferType],
     dims,
 ) -> str:
-    """Sample (or replay) one sweep cell into ``series``.
+    """Sample (or replay) one sweep cell onto ``samples``.
 
     Returns a status string: ``"sampled"``, ``"replayed"`` (from the
     checkpoint), ``"quarantined"`` (this run or a resumed one), or
@@ -1210,7 +1173,7 @@ def _run_cell(
         return "quarantined"
     cached = done.get(key)
     if cached is not None:
-        series.add(cached)
+        samples.append(cached)
         state.result.stats.resumed_samples += 1
         return "replayed"
     if device is DeviceKind.GPU and state.gpu_lost:
@@ -1247,7 +1210,7 @@ def _run_cell(
     if sample is None:
         return "quarantined"
     state.guard((sample,), precision)
-    series.add(sample)
+    samples.append(sample)
     if state.writer is not None:
         state.writer.sample(key, sample)
     return "sampled"

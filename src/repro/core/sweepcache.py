@@ -10,7 +10,7 @@ a run that would have been recomputed identically.
 
 An entry holds each series as column arrays (the codec of
 :func:`repro.core.records.encode_series`): floats travel as raw bits,
-so a cache hit reproduces every ``PerfSample`` bit-for-bit and
+so a cache hit reproduces every column bit-for-bit and
 downstream CSVs stay byte-identical.  Entries an older build wrote,
 with one JSON record per sample, still load.  Only complete,
 fault-free, non-degraded runs are stored; anything else (quarantined
@@ -264,14 +264,12 @@ class SingleFlight:
 
 
 def _parse_legacy_series(rec: dict) -> ProblemSeries:
-    series = ProblemSeries(
-        problem_type=get_problem_type(Kernel(rec["kernel"]), rec["ident"]),
-        precision=Precision(rec["precision"]),
-        iterations=rec["iterations"],
+    return ProblemSeries.from_samples(
+        get_problem_type(Kernel(rec["kernel"]), rec["ident"]),
+        Precision(rec["precision"]),
+        rec["iterations"],
+        map(sample_from_record, rec["samples"]),
     )
-    for sample_rec in rec["samples"]:
-        series.add(sample_from_record(sample_rec))
-    return series
 
 
 def _payload_series(payload: dict) -> List[ProblemSeries]:
@@ -291,7 +289,7 @@ def run_payload(result) -> dict:
     (:func:`~repro.core.records.encode_series`) as one base64 string.
     Floats travel as raw bits, so a payload parsed back by
     :func:`parse_run_payload` reproduces the run byte-for-byte in every
-    CSV it feeds.  Raises ValueError for a series the codec refuses."""
+    CSV it feeds."""
     metas, data = encode_series(result.series)
     return {
         "system": result.system_name,
@@ -375,7 +373,9 @@ def _load_entry(cache_dir, key: str, config: RunConfig, system_name):
         return None
     with contextlib.suppress(OSError):
         os.utime(path)  # refresh LRU recency for `cache prune`
-    result.stats.cached_samples = sum(len(s.samples) for s in result.series)
+    result.stats.cached_samples = sum(
+        len(col) for s in result.series for col in s.columns()
+    )
     return result
 
 

@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import PartialSweepWarning
 from ..types import Dims, TransferType
-from .records import ProblemSeries
+from .records import Column, ProblemSeries
 
 __all__ = [
     "ThresholdResult",
+    "aligned_rows",
     "find_offload_threshold",
     "threshold_for_series",
 ]
@@ -44,12 +47,13 @@ NOT_FOUND = ThresholdResult(False)
 
 
 def find_offload_threshold(
-    dims_list: Sequence[Dims],
+    dims_list: Sequence,
     cpu_seconds: Sequence[float],
     gpu_seconds: Sequence[float],
     min_consecutive: int = 2,
 ) -> ThresholdResult:
-    """Scan parallel CPU/GPU timing curves (ascending sizes)."""
+    """Scan parallel CPU/GPU timing curves (ascending sizes); the
+    result's ``dims`` is the entry of ``dims_list`` at the threshold."""
     if len(dims_list) != len(cpu_seconds) or len(dims_list) != len(gpu_seconds):
         raise ValueError("dims, cpu and gpu curves must have equal length")
     if min_consecutive < 1:
@@ -73,6 +77,25 @@ def find_offload_threshold(
     return ThresholdResult(True, dims_list[candidate], candidate)
 
 
+def aligned_rows(a: Column, b: Column) -> Tuple[np.ndarray, np.ndarray]:
+    """Row indices into ``a`` and ``b`` of the sizes both columns hold,
+    in ``a``'s order: the one pairing of cells across columns that the
+    threshold detector and every series comparison read.  A size present
+    in one column only is skipped, so a gap is bridged, never a break.
+    """
+    if a.same_sizes(b):
+        rows = np.arange(len(a))
+        return rows, rows
+    where = {d: j for j, d in enumerate(_sizes(b))}
+    pairs = [(i, where[d]) for i, d in enumerate(_sizes(a)) if d in where]
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _sizes(column: Column):
+    return zip(column.m.tolist(), column.n.tolist(), column.k.tolist())
+
+
 def threshold_for_series(
     series: ProblemSeries,
     transfer: TransferType,
@@ -84,36 +107,28 @@ def threshold_for_series(
     only one device are skipped with a :class:`PartialSweepWarning`, and
     the threshold is computed over the surviving pairs.
     """
-    gpu = series.gpu_samples(transfer)
-    cpu = series.cpu_samples()
-    if not gpu or not cpu:
+    cpu, gpu = series.cpu, series.gpu.get(transfer)
+    if gpu is None or not len(gpu) or not len(cpu):
         return NOT_FOUND
-    by_dims = {s.dims: s for s in gpu}
-    dims_list, cpu_t, gpu_t = [], [], []
-    missing = 0
-    for c in cpu:
-        g = by_dims.get(c.dims)
-        if g is None:
-            missing += 1
-            continue
-        dims_list.append(c.dims)
-        cpu_t.append(c.seconds)
-        gpu_t.append(g.seconds)
-    missing_cpu = len(by_dims) - len(dims_list)
+    rows_cpu, rows_gpu = aligned_rows(cpu, gpu)
+    pairs = len(rows_cpu)
+    missing, missing_cpu = len(cpu) - pairs, len(gpu) - pairs
     if missing or missing_cpu:
         blas = series.precision.blas_prefix + series.kernel.value
-        gaps = []
-        if missing:
-            gaps.append(f"{missing} of {len(cpu)} sizes lack a GPU sample")
+        gaps = [f"{missing} of {len(cpu)} sizes lack a GPU sample"] if missing else []
         if missing_cpu:
             gaps.append(f"{missing_cpu} GPU sizes lack a CPU sample")
         warnings.warn(
             f"{blas}:{series.ident} [{transfer.value}]: "
             + "; ".join(gaps)
             + " (quarantined or device lost); threshold computed over the "
-            f"remaining {len(dims_list)} pairs",
+            f"remaining {pairs} pairs",
             PartialSweepWarning, stacklevel=2,
         )
-    if not dims_list:
+    found = find_offload_threshold(
+        rows_cpu, cpu.seconds[rows_cpu].tolist(),
+        gpu.seconds[rows_gpu].tolist(), min_consecutive,
+    )
+    if not found:
         return NOT_FOUND
-    return find_offload_threshold(dims_list, cpu_t, gpu_t, min_consecutive)
+    return ThresholdResult(True, cpu.dims_at(found.dims), found.index)

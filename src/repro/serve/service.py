@@ -42,8 +42,8 @@ finish in-flight requests and queued sweeps, journal completions, then
 exit 0.
 
 A cached threshold response is **byte-identical** to the CLI: series
-rows reuse :func:`repro.core.csvio.sample_row`, the exact cell strings
-``gpu-blob -o`` writes to CSV.
+rows come from :func:`repro.core.csvio.series_rows`, the exact cell
+strings ``gpu-blob -o`` writes to CSV.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from typing import Dict, List, Optional
 from ..backends import make_backend
 from ..chaos import PRESETS, ChaosKind, ChaosPlan
 from ..core.config import RunConfig
-from ..core.csvio import FIELDNAMES, sample_row, series_filename
+from ..core.csvio import FIELDNAMES, series_filename, series_rows
 from ..core.problem import get_problem_type, problem_idents
 from ..core.runner import RetryPolicy, run_sweep
 from ..core.sweepcache import (
@@ -915,7 +915,7 @@ class ThresholdService:
                 "min_dim": query.min_dim,
                 "max_dim": query.max_dim,
                 "step": query.step,
-                "samples": len(series.all_samples()),
+                "samples": sum(map(len, series.columns())),
             },
             "threshold": {
                 "found": found.found,
@@ -945,7 +945,8 @@ class ThresholdService:
                 "filename": series_filename(series),
                 "fieldnames": list(FIELDNAMES),
                 "rows": [
-                    sample_row(sample, series) for sample in series.samples
+                    dict(zip(FIELDNAMES, map(str, row)))
+                    for row in series_rows(series)
                 ],
             }
         return payload

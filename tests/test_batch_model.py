@@ -95,13 +95,15 @@ def test_backend_sample_batch_equals_scalar_samples(
     backend = AnalyticBackend(MODELS["dawn"])
     kernel = dims_list[0].kernel
     batch = backend.cpu_sample_batch(kernel, dims_list, precision, iterations)
-    for dims, got in zip(dims_list, batch):
+    assert len(batch) == len(dims_list)
+    for dims, got in zip(dims_list, batch.samples()):
         assert got == backend.cpu_sample(kernel, dims, precision, iterations)
     for transfer in TransferType:
         batch = backend.gpu_sample_batch(
             kernel, dims_list, precision, iterations, transfer
         )
-        for dims, got in zip(dims_list, batch):
+        assert len(batch) == len(dims_list)
+        for dims, got in zip(dims_list, batch.samples()):
             assert got == backend.gpu_sample(
                 kernel, dims, precision, iterations, transfer
             )

@@ -16,26 +16,25 @@ from repro.types import DeviceKind, Dims, Kernel, Precision, TransferType
 
 
 def _series(iterations=8):
-    series = ProblemSeries(
-        problem_type=get_problem_type(Kernel.GEMM, "square"),
-        precision=Precision.SINGLE,
-        iterations=iterations,
-    )
+    samples = []
     for s in (16, 32, 64):
         dims = Dims(s, s, s)
-        series.add(
+        samples.append(
             PerfSample.from_seconds(
                 DeviceKind.CPU, None, dims, iterations, 1.5e-6 * s,
                 checksum_ok=True,
             )
         )
         for transfer in (TransferType.ONCE, TransferType.ALWAYS):
-            series.add(
+            samples.append(
                 PerfSample.from_seconds(
                     DeviceKind.GPU, transfer, dims, iterations, 2.0e-6 * s
                 )
             )
-    return series
+    return ProblemSeries.from_samples(
+        get_problem_type(Kernel.GEMM, "square"), Precision.SINGLE,
+        iterations, samples,
+    )
 
 
 def test_series_filename_matches_artifact_convention():
@@ -52,7 +51,7 @@ def test_write_read_series_round_trip_is_exact(tmp_path):
     series = _series()
     path = write_series(series, tmp_path / "s.csv")
     restored = read_samples(path)
-    assert restored == series.samples  # exact: repr()-written floats
+    assert restored == series.all_samples()  # exact: repr()-written floats
 
 
 def test_round_trip_preserves_optional_fields(tmp_path):
@@ -80,11 +79,11 @@ def test_write_run_and_read_run_dir(tmp_path):
     ]
     table = read_run_dir(tmp_path / "out")
     assert set(table) == {"sgemm_square_i1", "sgemm_square_i8"}
-    assert table["sgemm_square_i8"] == _series(8).samples
+    assert table["sgemm_square_i8"] == _series(8).all_samples()
 
 
 def test_gflops_consistent_with_seconds():
-    sample = _series().samples[0]
+    sample = _series().all_samples()[0]
     from repro.core.flops import flops_for
 
     expected = sample.iterations * flops_for(sample.dims) / sample.seconds / 1e9

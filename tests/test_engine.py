@@ -55,9 +55,9 @@ def test_run_sweep_produces_one_series_per_problem_and_precision(sweeps):
     assert len(result.series) == 4
     assert result.system_name == "dawn"
     for series in result.series:
-        assert len(series.cpu_samples()) == len(series.sizes())
+        assert len(series.cpu)
         for t in TransferType:
-            assert len(series.gpu_samples(t)) == len(series.sizes())
+            assert series.cpu.same_sizes(series.gpu[t])
 
 
 def test_cpu_time_scales_with_work():

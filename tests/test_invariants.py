@@ -28,7 +28,7 @@ from repro import (
 )
 from repro.backends.des import DesBackend
 from repro.core.invariants import guard_samples, invariant_context
-from repro.core.records import PerfSample
+from repro.core.records import Column, PerfSample
 from repro.sim.noise import DeterministicNoise
 from repro.systems.catalog import get_system
 from repro.types import DeviceKind, Dims, Kernel, Precision, TransferType
@@ -160,10 +160,10 @@ def test_strict_guard_raises_default_guard_warns():
 
 
 def test_vectorized_column_check_agrees_with_scalar():
-    """Above the batch threshold the guard vectorizes; the flagged set
-    must be identical to the per-sample reference."""
+    """On a column the guard vectorizes; the flagged cells must be
+    identical to the per-sample reference."""
     ctx = invariant_context(AnalyticBackend(make_model("dawn")))
-    column = [
+    samples = [
         _sample(
             1e-9 if i % 7 == 0 else 1.0,
             1.0,
@@ -173,11 +173,15 @@ def test_vectorized_column_check_agrees_with_scalar():
         )
         for i in range(64)
     ]
-    scalar = {id(s) for s, _ in check_samples(column, Precision.SINGLE, ctx)}
-    assert scalar  # the cheats are in there
+    violations = check_samples(samples, Precision.SINGLE, ctx)
+    assert violations  # the cheats are in there
+    column = Column.from_samples(DeviceKind.GPU, TransferType.ONCE, 8, samples)
     with pytest.warns(ModelInvariantWarning) as caught:
         guard_samples(column, Precision.SINGLE, ctx, strict=False)
-    assert len(caught) == len(scalar)
+    assert [str(w.message) for w in caught] == [
+        f"model invariant violated at {s.dims}: {reason}"
+        for s, reason in violations
+    ]
 
 
 def test_backend_emitting_garbage_fails_strict_sweep():

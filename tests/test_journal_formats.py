@@ -88,9 +88,9 @@ def _key(sample):
 
 
 def _result() -> RunResult:
-    series = ProblemSeries(SQUARE, Precision.SINGLE, 8)
-    for sample in SAMPLES + [SHARD_SAMPLE]:
-        series.add(sample)
+    series = ProblemSeries.from_samples(
+        SQUARE, Precision.SINGLE, 8, SAMPLES + [SHARD_SAMPLE]
+    )
     return RunResult(config=CONFIG, system_name=SYSTEM, series=[series])
 
 

@@ -3,8 +3,9 @@
 :func:`repro.core.records.encode_series` is the payload of sweep-cache
 entries, dist result shards and pool shared-memory segments.  A series
 must come back bit for bit — floats compared by their bits, so -0.0,
-subnormals, infinities and NaN payloads count — with its column order,
-and a series the layout cannot hold must be refused, never altered.
+subnormals, infinities and NaN payloads count — with its column order.
+A sample the column layout cannot hold must be refused where per-cell
+samples become a column (:meth:`Column.from_samples`), never altered.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro import AnalyticBackend, make_model, run_sweep
 from repro.core.config import RunConfig
 from repro.core.problem import get_problem_type, problem_idents
 from repro.core.records import (
+    Column,
     PerfSample,
     ProblemSeries,
     decode_series,
@@ -64,11 +66,11 @@ def _bits(x: float) -> bytes:
 def _view(series: ProblemSeries) -> tuple:
     """Everything a series holds, floats as bits, column order kept."""
 
-    def column(samples):
+    def column(col):
         return [
             (s.device, s.transfer, s.dims, s.iterations, _bits(s.seconds),
              _bits(s.gflops), repr(s.checksum_ok))
-            for s in samples
+            for s in col.samples()
         ]
 
     return (
@@ -97,11 +99,11 @@ def series_strategy(draw) -> ProblemSeries:
 
     def column(device, transfer):
         dims = shared if shared is not None else draw(dims_list)
-        return [
+        return Column.from_samples(device, transfer, iterations, [
             PerfSample(device, transfer, d, iterations, draw(FLOATS),
                        draw(FLOATS), draw(st.sampled_from([None, False, True])))
             for d in dims
-        ]
+        ])
 
     series.cpu = column(DeviceKind.CPU, None)
     for transfer in transfers:
@@ -126,16 +128,26 @@ def _odd_series():
     """Columns that do not share dims, an empty column, and floats JSON
     cannot hold."""
     square = get_problem_type(Kernel.GEMM, "square")
-    series = ProblemSeries(square, Precision.DOUBLE, 8, partial=True)
-    for i, (seconds, gflops) in enumerate([
-        (-0.0, 5e-324), (math.inf, math.nan), (1.5e-300, -math.inf),
-    ]):
-        series.add(PerfSample(DeviceKind.CPU, None, Dims(i + 1, 2, 3), 8,
-                              seconds, gflops, [None, False, True][i]))
-    series.gpu[TransferType.ALWAYS] = []
-    series.add(PerfSample(DeviceKind.GPU, TransferType.ONCE, Dims(7, 7, 7),
-                          8, 2.0, 3.0, True))
-    return [series]
+    cpu = [
+        PerfSample(DeviceKind.CPU, None, Dims(i + 1, 2, 3), 8, seconds,
+                   gflops, [None, False, True][i])
+        for i, (seconds, gflops) in enumerate([
+            (-0.0, 5e-324), (math.inf, math.nan), (1.5e-300, -math.inf),
+        ])
+    ]
+    once = [PerfSample(DeviceKind.GPU, TransferType.ONCE, Dims(7, 7, 7), 8,
+                       2.0, 3.0, True)]
+    return [ProblemSeries(
+        square, Precision.DOUBLE, 8,
+        cpu=Column.from_samples(DeviceKind.CPU, None, 8, cpu),
+        gpu={
+            TransferType.ALWAYS: Column.from_samples(
+                DeviceKind.GPU, TransferType.ALWAYS, 8, []),
+            TransferType.ONCE: Column.from_samples(
+                DeviceKind.GPU, TransferType.ONCE, 8, once),
+        },
+        partial=True,
+    )]
 
 
 def _through_cache(series_list, tmp):
@@ -171,16 +183,12 @@ def test_every_transport_reproduces_the_series(source, transport):
     assert [_view(s) for s in back] == [_view(s) for s in series_list]
 
 
-def _series_with(sample, column=DeviceKind.CPU) -> ProblemSeries:
-    """A series holding ``sample`` in ``column``: the CPU column, or
-    the GPU column of that transfer."""
-    series = ProblemSeries(get_problem_type(Kernel.GEMM, "square"),
-                           Precision.SINGLE, 8)
+def _column_with(sample, column=DeviceKind.CPU) -> Column:
+    """The 8-iteration column holding ``sample``: the CPU column, or the
+    GPU column of that transfer."""
     if column is DeviceKind.CPU:
-        series.cpu = [sample]
-    else:
-        series.gpu[column] = [sample]
-    return series
+        return Column.from_samples(DeviceKind.CPU, None, 8, [sample])
+    return Column.from_samples(DeviceKind.GPU, column, 8, [sample])
 
 
 def _sample(**changes) -> PerfSample:
@@ -190,21 +198,21 @@ def _sample(**changes) -> PerfSample:
     return PerfSample(**fields)
 
 
-@pytest.mark.parametrize("series", [
-    _series_with(_sample(iterations=4)),
-    _series_with(_sample(device=DeviceKind.GPU)),  # GPU sample, CPU column
-    _series_with(_sample(device=DeviceKind.GPU, transfer=TransferType.ALWAYS),
-                 column=TransferType.ONCE),
-    _series_with(_sample(seconds=1)),  # an int would come back 1.0
-    _series_with(_sample(gflops="2.0")),
-    _series_with(_sample(dims=Dims(1.5, 4, 4))),
-    _series_with(_sample(dims=Dims(2**63, 4, 4))),
-    _series_with(_sample(checksum_ok=1)),
+@pytest.mark.parametrize("sample, column", [
+    (_sample(iterations=4), DeviceKind.CPU),
+    (_sample(device=DeviceKind.GPU), DeviceKind.CPU),  # GPU sample, CPU column
+    (_sample(device=DeviceKind.GPU, transfer=TransferType.ALWAYS),
+     TransferType.ONCE),
+    (_sample(seconds=1), DeviceKind.CPU),  # an int would come back 1.0
+    (_sample(gflops="2.0"), DeviceKind.CPU),
+    (_sample(dims=Dims(1.5, 4, 4)), DeviceKind.CPU),
+    (_sample(dims=Dims(2**63, 4, 4)), DeviceKind.CPU),
+    (_sample(checksum_ok=1), DeviceKind.CPU),
 ], ids=["iterations", "device", "transfer", "int-seconds", "str-gflops",
         "float-dim", "int64-overflow", "int-checksum"])
-def test_a_series_the_layout_cannot_hold_is_refused(series):
+def test_a_series_the_layout_cannot_hold_is_refused(sample, column):
     with pytest.raises(ValueError):
-        encode_series([series])
+        _column_with(sample, column)
 
 
 def test_bytes_that_do_not_match_the_metadata_are_refused():

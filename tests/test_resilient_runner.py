@@ -30,9 +30,10 @@ from repro import (
     make_model,
     run_sweep,
 )
-from repro.core.records import ProblemSeries
+from repro.core.records import Column, ProblemSeries
 from repro.core.threshold import threshold_for_series
 from repro.errors import ConfigError, PartialSweepWarning
+from repro.types import DeviceKind
 
 MODEL = make_model("lumi")
 
@@ -153,8 +154,8 @@ def test_des_failure_falls_back_to_analytic():
     # the fallback produced every GPU cell the DES engine could not
     assert sum(len(s.all_samples()) for s in result.series) == N_CELLS
     reference = run_sweep(AnalyticBackend(MODEL), CONFIG)
-    gpu = result.series[0].gpu_samples(TransferType.ONCE)
-    ref_gpu = reference.series[0].gpu_samples(TransferType.ONCE)
+    gpu = result.series[0].gpu[TransferType.ONCE]
+    ref_gpu = reference.series[0].gpu[TransferType.ONCE]
     assert gpu == ref_gpu
 
 
@@ -226,9 +227,12 @@ def test_threshold_warns_on_missing_samples_instead_of_keyerror():
         problem_type=series.problem_type,
         precision=series.precision,
         iterations=series.iterations,
-        cpu=list(series.cpu),
+        cpu=series.cpu,
         gpu={
-            TransferType.ONCE: series.gpu_samples(TransferType.ONCE)[:-2]
+            TransferType.ONCE: Column.from_samples(
+                DeviceKind.GPU, TransferType.ONCE, series.iterations,
+                series.gpu[TransferType.ONCE].samples()[:-2],
+            )
         },
     )
     with pytest.warns(PartialSweepWarning, match="2 of 5 sizes"):
